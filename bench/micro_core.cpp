@@ -27,7 +27,6 @@
 #include "src/sched/edf.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/fabric.hpp"
-#include "src/sim/timer_queue.hpp"
 #include "src/task/notation.hpp"
 #include "src/util/rng.hpp"
 
@@ -198,23 +197,6 @@ void BM_ArenaCloneDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_ArenaCloneDrain);
 
-void BM_TimerWheelPushPop(benchmark::State& state) {
-  // The wheel backend under the same load as BM_EventQueuePushPop — the
-  // delta against the heap at equal batch size is the backend's win (or
-  // loss) in the heavy-traffic regime.
-  const int batch = static_cast<int>(state.range(0));
-  util::Rng rng(1);
-  const auto q = sim::make_timer_queue("wheel");
-  for (auto _ : state) {
-    for (int i = 0; i < batch; ++i) {
-      q->push(rng.uniform01(), [] {});
-    }
-    while (!q->empty()) benchmark::DoNotOptimize(q->pop());
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_TimerWheelPushPop)->Arg(64)->Arg(1024)->Arg(16384);
-
 void BM_ProcessManagerSubmitDrain(benchmark::State& state) {
   // Cost of the PM machinery itself: submit a 4-way parallel global to idle
   // nodes and drain it to completion, repeatedly.
@@ -337,7 +319,7 @@ void BM_ServeSocket(benchmark::State& state) {
   // End-to-end admissions/sec through the *socket* front door: TCP
   // loopback, the event loop on its own thread, one client writing the
   // BM_ServeStream script and reading every routed reply back.  The
-  // delta against BM_ServeStream is the transport tax (epoll wakeups,
+  // delta against BM_ServeStream is the transport tax (poll wakeups,
   // line reassembly, reply routing, loopback copies).
   constexpr int kSubs = 256;
   std::string script = serve_script(kSubs);

@@ -67,7 +67,7 @@ PY
 # crash) still fails the gate.
 rc=0
 SDA_VALIDATE=1 "$ASAN_BUILD/tools/sda_run" --serve --input "$SOAK_INPUT" \
-  admission_tests=util,ct,sp k=4 > /dev/null || rc=$?
+  k=4 > /dev/null || rc=$?
 if [[ "$rc" != 65 && "$rc" != 0 ]]; then
   echo "FAIL: serve soak exit $rc (expected 0 or 65)" >&2
   exit 1

@@ -82,31 +82,6 @@ bool completion_time_test(const std::vector<LedgerJob>& jobs, double now) {
   return true;
 }
 
-bool scheduling_point_test(const std::vector<LedgerJob>& jobs, double now) {
-  const std::size_t n = jobs.size();
-  std::vector<double> release(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    release[i] = std::max(jobs[i].release, now);
-  }
-  // Processor demand criterion: the busy interval endpoints that matter
-  // are (release, deadline) pairs.
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      const double lo = release[a];
-      const double hi = jobs[b].deadline;
-      if (hi <= lo) continue;
-      double demand = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (release[i] >= lo - kEps && jobs[i].deadline <= hi + kEps) {
-          demand += jobs[i].demand;
-        }
-      }
-      if (demand > hi - lo + kEps) return false;
-    }
-  }
-  return true;
-}
-
 const char* to_string(AdmissionDecision d) noexcept {
   switch (d) {
     case AdmissionDecision::kAdmit: return "admit";
@@ -131,11 +106,6 @@ AdmissionController::AdmissionController(AdmissionConfig config)
     : config_(std::move(config)) {
   if (config_.node_count < 1) {
     throw std::invalid_argument("AdmissionController: node_count < 1");
-  }
-  if (!config_.test_utilization && !config_.test_completion_time &&
-      !config_.test_scheduling_point) {
-    throw std::invalid_argument(
-        "AdmissionController: at least one feasibility test must be enabled");
   }
   if (config_.util_bound <= 0.0) {
     throw std::invalid_argument("AdmissionController: util_bound <= 0");
@@ -298,18 +268,8 @@ bool AdmissionController::feasible_with(const std::vector<LedgerJob>& candidate,
     for (std::size_t i = 0; i < candidate.size(); ++i) {
       if (sites[i] == site) merged.push_back(candidate[i]);
     }
-    if (config_.test_utilization && !utilization_test(merged, now, bound)) {
-      return false;
-    }
-    if (state_ == OverloadState::kShedding &&
-        !utilization_test(merged, now, bound)) {
-      return false;  // headroom gate even when the density test is off
-    }
-    if (config_.test_completion_time && !completion_time_test(merged, now)) {
-      return false;
-    }
-    if (config_.test_scheduling_point &&
-        !scheduling_point_test(merged, now)) {
+    if (!utilization_test(merged, now, bound) ||
+        !completion_time_test(merged, now)) {
       return false;
     }
   }

@@ -3,11 +3,11 @@
 // The paper assigns subtask deadlines for a fixed task set; a
 // long-running deadline-assignment service must instead survive
 // arbitrary offered load.  This module gates every submission through
-// per-node feasibility tests over a ledger of already-admitted work,
+// two per-node feasibility tests over a ledger of already-admitted work,
 // and wraps the tests in an overload state machine that degrades
 // gracefully instead of collapsing:
 //
-//   normal    — full test battery; infeasible submissions are rejected
+//   normal    — both tests; infeasible submissions are rejected
 //               (or parked in a bounded retry queue, serve mode).
 //   degraded  — a submission that fails with its own deadline is
 //               retried with a stretched one (the imprecise-computation
@@ -53,10 +53,11 @@ struct LedgerJob {
 
 // --- per-node feasibility tests (pure functions) ------------------------
 //
-// All three decide feasibility of one preemptive-EDF node running the
-// given jobs, under the ledger's full-demand assumption (work already
-// executed is not credited — conservative).  Releases before @p now are
-// clamped to @p now: work cannot run in the past.
+// Both decide feasibility of one preemptive-EDF node running the given
+// jobs, under the ledger's full-demand assumption (work already executed
+// is not credited — conservative).  Releases before @p now are clamped to
+// @p now: work cannot run in the past.  A candidate is admitted only when
+// every node it touches passes both.
 
 /// Density bound: sum C_i / (d_i - r_i) <= bound.  Each job fits inside
 /// its own window's fluid share, so total share <= 1 is sufficient for
@@ -69,12 +70,6 @@ bool utilization_test(const std::vector<LedgerJob>& jobs, double now,
 /// at releases) and checks every job completes by its deadline.  Exact
 /// for a single node under the full-demand assumption.
 bool completion_time_test(const std::vector<LedgerJob>& jobs, double now);
-
-/// Processor-demand criterion: for every interval [r, d] spanned by a
-/// release and a deadline, the demand of jobs fully contained in it
-/// must fit in d - r.  Exact; O(n^3) worst case, used for small
-/// ledgers and as a cross-check of the completion-time walk.
-bool scheduling_point_test(const std::vector<LedgerJob>& jobs, double now);
 
 // --- the admission controller -------------------------------------------
 
@@ -96,10 +91,6 @@ struct AdmissionConfig {
   std::string psp = "ud";
   std::string ssp = "ud";
 
-  // Which feasibility tests gate admission (at least one must be on).
-  bool test_utilization = true;
-  bool test_completion_time = true;
-  bool test_scheduling_point = false;
   double util_bound = 1.0;  ///< density budget per node
 
   // Overload state machine: pressure = EWMA of max per-node density
@@ -257,8 +248,8 @@ class AdmissionController {
   AdmissionOutcome try_admit(const task::TreeNode& tree, double now,
                              double deadline, std::uint64_t ticket)
       SDA_REQUIRES(owner_);
-  /// Runs the configured test battery with the candidate jobs merged
-  /// into their nodes' ledgers.
+  /// Runs the density bound and the completion-time walk with the
+  /// candidate jobs merged into their nodes' ledgers.
   bool feasible_with(const std::vector<LedgerJob>& candidate,
                      const std::vector<int>& sites, double now) const
       SDA_REQUIRES(owner_);

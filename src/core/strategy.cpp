@@ -41,11 +41,11 @@ bool parse_param(const std::string& text, double* out) {
   }
 }
 
-// One generic registry (core::Registry, shared with the timer-queue
+// One generic registry (util::Registry, shared with the timer-queue
 // backends) per strategy problem; lookup order is registration order,
 // exact entries before prefix families because exact matching runs first.
-using PspRegistry = Registry<PspStrategy>;
-using SspRegistry = Registry<SspStrategy>;
+using PspRegistry = util::Registry<PspStrategy>;
+using SspRegistry = util::Registry<SspStrategy>;
 
 /// Built-ins are seeded through the same add() path as user strategies the
 /// first time any registry accessor runs.

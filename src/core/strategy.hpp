@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "src/core/registry.hpp"
 #include "src/task/tree.hpp"
+#include "src/util/registry.hpp"
 #include "src/util/unique_fn.hpp"
 
 namespace sda::core {

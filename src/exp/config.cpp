@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 #include "src/core/admission.hpp"
 
@@ -39,24 +38,6 @@ core::AdmissionConfig ExperimentConfig::admission_config() const {
   a.node_count = k;
   a.psp = psp;
   a.ssp = ssp;
-  a.test_utilization = false;
-  a.test_completion_time = false;
-  a.test_scheduling_point = false;
-  std::stringstream tokens(admission_tests);
-  std::string token;
-  while (std::getline(tokens, token, ',')) {
-    if (token == "util") {
-      a.test_utilization = true;
-    } else if (token == "ct") {
-      a.test_completion_time = true;
-    } else if (token == "sp") {
-      a.test_scheduling_point = true;
-    } else if (!token.empty()) {
-      throw std::invalid_argument(
-          "admission_tests: unknown test '" + token +
-          "' (expected csv of util, ct, sp)");
-    }
-  }
   a.util_bound = admission_util_bound;
   a.enter_degraded = admission_enter_degraded;
   a.exit_degraded = admission_exit_degraded;
@@ -93,7 +74,7 @@ std::string ExperimentConfig::describe() const {
   }
   if (local_abort != sched::LocalAbortPolicy::kNone) os << ", local-abort";
   if (admission) {
-    os << ", admission[" << admission_tests << "]";
+    os << ", admission";
     if (global_burst_factor > 1.0) os << " burst=" << global_burst_factor;
   }
   if (faults_enabled()) {

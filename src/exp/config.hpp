@@ -149,9 +149,6 @@ struct ExperimentConfig {
   /// bit for bit.  With admission on, `load` >= 1 becomes a legal
   /// (deliberate-overload) configuration.
   bool admission = false;
-  /// Feasibility battery, csv of "util" (density bound), "ct"
-  /// (completion-time walk), "sp" (scheduling-point criterion).
-  std::string admission_tests = "util,ct";
   double admission_util_bound = 1.0;
   /// Hysteresis thresholds on smoothed pressure (worst per-node ledger
   /// density / util bound): enter/exit the degraded and shedding states.
@@ -199,10 +196,10 @@ struct ExperimentConfig {
   /// compare fingerprints only across equal net_latency.
   double net_latency = 0.0;
   /// Timer-queue backend for every simulation engine (serial and per-shard):
-  /// "heap" (pooled 4-ary heap, the default), "wheel" (hierarchical timing
-  /// wheel), or any name registered via sim::register_timer_queue.  Backends
-  /// share pop order and event-id allocation, so run fingerprints are
-  /// bit-identical across them; this key trades only constant factors.
+  /// "heap" (the pooled 4-ary heap) or a name registered via
+  /// sim::register_timer_queue, such as a decorator that counts queue
+  /// operations.  Not a config key: only code that registers a backend has
+  /// a reason to change it.
   std::string timer_queue = "heap";
 
   // --- run control ----------------------------------------------------------
@@ -215,8 +212,7 @@ struct ExperimentConfig {
   std::pair<double, double> resolved_global_slack() const;
 
   /// The admission-controller config implied by the admission_* fields
-  /// (node_count = k, strategies = psp/ssp).  Throws std::invalid_argument
-  /// on an unknown admission_tests token.
+  /// (node_count = k, strategies = psp/ssp).
   core::AdmissionConfig admission_config() const;
 
   /// Expected total execution demand of one global task (for the load

@@ -257,7 +257,6 @@ const std::vector<Field>& fields() {
       SDA_KV_BOOL(shed_negative_slack),
       // --- online admission control ---------------------------------------
       SDA_KV_BOOL(admission),
-      SDA_KV_STRING(admission_tests),
       SDA_KV_DOUBLE(admission_util_bound),
       SDA_KV_DOUBLE(admission_enter_degraded),
       SDA_KV_DOUBLE(admission_exit_degraded),
@@ -273,7 +272,6 @@ const std::vector<Field>& fields() {
       // --- parallel execution ---------------------------------------------
       SDA_KV_INT(shards),
       SDA_KV_DOUBLE(net_latency),
-      SDA_KV_STRING(timer_queue),
       // --- run control ----------------------------------------------------
       SDA_KV_DOUBLE(sim_time),
       SDA_KV_DOUBLE(warmup_fraction),

@@ -9,14 +9,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <ostream>
 #include <sstream>
@@ -90,80 +85,8 @@ bool parse_listen_spec(const std::string& text, ListenSpec* spec,
 
 // --- Poller --------------------------------------------------------------
 
-Poller::Poller() {
-#ifdef __linux__
-  const char* force_poll = std::getenv("SDA_NET_POLL");
-  if (force_poll == nullptr || force_poll[0] == '\0' ||
-      force_poll[0] == '0') {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    // epoll_fd_ stays -1 on failure: silently degrade to poll.
-  }
-#endif
-}
-
-Poller::~Poller() {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    if (::close(epoll_fd_) != 0) { /* shutting down anyway */ }
-  }
-#endif
-}
-
-bool Poller::add(int fd, bool want_write) {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
-  }
-#endif
-  interest_[fd] = want_write;
-  return true;
-}
-
-bool Poller::update(int fd, bool want_write) {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) return false;
-  }
-#endif
-  interest_[fd] = want_write;
-  return true;
-}
-
-void Poller::remove(int fd) {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr) != 0) {
-      // Removing an already-closed fd is fine.
-    }
-  }
-#endif
-  interest_.erase(fd);
-}
-
 bool Poller::wait(int timeout_ms, std::vector<Event>& events) {
   events.clear();
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event ready[64];
-    const int n = ::epoll_wait(epoll_fd_, ready, 64, timeout_ms);
-    if (n < 0) return errno == EINTR;
-    for (int i = 0; i < n; ++i) {
-      Event ev;
-      ev.fd = ready[i].data.fd;
-      ev.readable = (ready[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      ev.writable = (ready[i].events & EPOLLOUT) != 0;
-      ev.error = (ready[i].events & EPOLLERR) != 0;
-      events.push_back(ev);
-    }
-    return true;
-  }
-#endif
   std::vector<pollfd> fds;
   fds.reserve(interest_.size());
   for (const auto& [fd, want_write] : interest_) {
@@ -283,10 +206,8 @@ bool ServeServer::start(std::string* error) {
     return fail("fcntl(listener)");
   }
   if (::listen(listen_fd_, 64) != 0) return fail("listen");
-  if (!poller_.add(listen_fd_, /*want_write=*/false) ||
-      !poller_.add(stop_read_fd_, /*want_write=*/false)) {
-    return fail("poller add");
-  }
+  poller_.watch(listen_fd_, /*want_write=*/false);
+  poller_.watch(stop_read_fd_, /*want_write=*/false);
   return true;
 }
 
@@ -301,7 +222,7 @@ std::string ServeServer::banner() const {
         .kv("host", options_.listen.host)
         .kv("port", static_cast<std::uint64_t>(bound_port_));
   }
-  w.kv("backend", poller_.using_epoll() ? "epoll" : "poll")
+  w.kv("backend", "poll")
       .kv("pid", static_cast<std::uint64_t>(::getpid()))
       .end_object();
   return std::move(out).str();
@@ -329,11 +250,11 @@ void ServeServer::accept_clients() {
       if (::close(fd) != 0) { /* rejected anyway */ }
       continue;
     }
-    if (!set_nonblocking(fd) || !set_cloexec(fd) ||
-        !poller_.add(fd, /*want_write=*/false)) {
+    if (!set_nonblocking(fd) || !set_cloexec(fd)) {
       if (::close(fd) != 0) { /* setup failed */ }
       continue;
     }
+    poller_.watch(fd, /*want_write=*/false);
     Connection conn;
     conn.fd = fd;
     conn.splitter = LineSplitter(options_.max_line_bytes);
@@ -359,7 +280,7 @@ void ServeServer::send_to(Connection& conn, std::string_view bytes) {
   if (conn.sent == conn.outbox.size()) {
     conn.outbox.clear();
     conn.sent = 0;
-    if (!poller_.update(conn.fd, /*want_write=*/false)) { /* next tick */ }
+    poller_.watch(conn.fd, /*want_write=*/false);
     return;
   }
   if (conn.outbox.size() - conn.sent > options_.max_write_buffer) {
@@ -373,7 +294,7 @@ void ServeServer::send_to(Connection& conn, std::string_view bytes) {
     doomed_fds_.push_back(conn.fd);
     return;
   }
-  if (!poller_.update(conn.fd, /*want_write=*/true)) { /* next tick */ }
+  poller_.watch(conn.fd, /*want_write=*/true);
 }
 
 void ServeServer::handle_writable(Connection& conn) {
@@ -394,7 +315,7 @@ void ServeServer::handle_writable(Connection& conn) {
     close_connection(conn.fd);
     return;
   }
-  if (!poller_.update(conn.fd, /*want_write=*/false)) { /* next tick */ }
+  poller_.watch(conn.fd, /*want_write=*/false);
 }
 
 void ServeServer::route_replies(

@@ -1,6 +1,5 @@
 // The socket transport for the admission front door: a single-threaded
-// non-blocking event loop (epoll on Linux, poll everywhere else /
-// when SDA_NET_POLL=1) that drives one shared ServeSession.
+// non-blocking poll(2) event loop that drives one shared ServeSession.
 //
 // Service model: any number of clients connect and write protocol
 // lines; every decision is routed back to the connection that
@@ -73,9 +72,9 @@ struct ServerOptions {
   int sndbuf_bytes = 0;
 };
 
-/// Minimal readiness-API shim: epoll where available, poll otherwise.
-/// Level-triggered semantics in both backends (the loop re-arms write
-/// interest only while bytes are pending, so level-triggered is cheap).
+/// Minimal readiness shim over poll(2).  Level-triggered (the loop
+/// re-arms write interest only while bytes are pending, so
+/// level-triggered is cheap).
 class Poller {
  public:
   struct Event {
@@ -85,22 +84,16 @@ class Poller {
     bool error = false;
   };
 
-  Poller();
-  ~Poller();
-  Poller(const Poller&) = delete;
-  Poller& operator=(const Poller&) = delete;
-
-  bool add(int fd, bool want_write);
-  bool update(int fd, bool want_write);
-  void remove(int fd);
+  /// Watches @p fd for input, and for output too when @p want_write;
+  /// watching an fd again replaces its interest.
+  void watch(int fd, bool want_write) { interest_[fd] = want_write; }
+  void remove(int fd) { interest_.erase(fd); }
   /// Blocks up to @p timeout_ms; fills @p events with ready fds.
-  /// Returns false on an unrecoverable backend error.
+  /// Returns false on an unrecoverable poll error.
   bool wait(int timeout_ms, std::vector<Event>& events);
-  bool using_epoll() const noexcept { return epoll_fd_ >= 0; }
 
  private:
-  int epoll_fd_ = -1;                 ///< -1 = poll fallback
-  std::map<int, bool> interest_;      ///< fd -> want_write (poll backend)
+  std::map<int, bool> interest_;  ///< fd -> want_write
 };
 
 /// One accepted client.

@@ -20,7 +20,7 @@
 //
 //   * serve_stream — any istream (pipe, file, FIFO); the deterministic
 //     test harness.  Byte-identical output across reruns.
-//   * exp::net::ServeServer — the epoll socket listener (net.hpp).
+//   * exp::net::ServeServer — the poll(2) socket listener (net.hpp).
 //   * journal replay — recovery feeds journaled lines back through the
 //     same code path with emission suppressed (journal.hpp).
 //

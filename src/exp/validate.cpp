@@ -135,8 +135,8 @@ std::vector<std::string> validate(const ExperimentConfig& c) {
   if (c.global_burst_cycle <= 0.0) bad("global_burst_cycle must be positive");
   if (c.admission) {
     try {
-      // The controller's constructor re-validates thresholds, stretch,
-      // headroom, and the test battery; borrow its checks.
+      // The controller's constructor re-validates the bound, thresholds,
+      // stretch, and headroom; borrow its checks.
       (void)core::AdmissionController(c.admission_config());
     } catch (const std::exception& e) {
       bad(e.what());

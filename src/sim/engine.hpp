@@ -23,9 +23,9 @@ class Engine {
   /// Default backend: the pooled 4-ary heap ("heap").
   Engine() : queue_(std::make_unique<EventQueue>()) {}
 
-  /// Runs on an explicit timer-queue backend (see make_timer_queue()).
-  /// All backends share the slot slab and the (time, insertion-sequence)
-  /// pop order, so traces and EventIds are identical across them.
+  /// Runs on an explicit timer-queue backend (see make_timer_queue()),
+  /// e.g. a registered decorator over the heap; traces and EventIds are
+  /// identical as long as it keeps the heap's contract.
   explicit Engine(std::unique_ptr<TimerQueue> queue)
       : queue_(std::move(queue)) {}
 

@@ -10,6 +10,21 @@ namespace sda::sim {
 
 namespace oracle = core::invariants;
 
+namespace detail {
+
+std::uint32_t SlotPool::alloc_slot_grow() {
+  if (slot_count_ >= kSlotMask) {  // kSlotMask itself is the list terminator
+    throw std::length_error("TimerQueue: too many concurrent events");
+  }
+  if (slot_count_ == slot_capacity()) {
+    chunks_.push_back(std::make_unique<Slot[]>(
+        chunks_.empty() ? kFirstChunkSize : kChunkSize));
+  }
+  return slot_count_++;
+}
+
+}  // namespace detail
+
 void EventQueue::sift_up(std::size_t pos) noexcept {
   const HeapEntry e = heap_[pos];
   while (pos > 0) {

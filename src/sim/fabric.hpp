@@ -203,7 +203,7 @@ class Fabric {
     /// Modeled cross-lane message latency = the conservative lookahead L.
     Time latency = 0.0;
     /// Timer-queue backend name for every shard engine (see
-    /// make_timer_queue()).  Fingerprints are backend-independent.
+    /// make_timer_queue()): "heap" or a registered decorator.
     std::string timer_queue = "heap";
   };
 

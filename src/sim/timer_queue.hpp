@@ -1,36 +1,28 @@
-// Pluggable timer-queue backends for the discrete-event engine.
+// The timer-queue interface the discrete-event engine schedules against.
 //
-// sim::TimerQueue is the interface the Engine schedules against: push a
-// callback at an absolute time, cancel by handle, pop the earliest.  Two
-// backends ship with the simulator —
+// sim::TimerQueue: push a callback at an absolute time, cancel by handle,
+// pop the earliest.  The simulator ships one backend, "heap" — the pooled
+// 4-ary min-heap (sim::EventQueue), O(log n) push/pop.  The interface and
+// its self-registering registry (util::Registry, the same pattern as the
+// strategy registries) stay as a seam: a decorator registered through
+// register_timer_queue and named in ExperimentConfig::timer_queue wraps
+// the heap in every serial and per-shard engine, e.g. to count or time
+// queue operations without touching library code.
 //
-//   "heap"  — the pooled 4-ary min-heap (sim::EventQueue), O(log n)
-//             push/pop, the default;
-//   "wheel" — a hierarchical timing wheel / calendar queue
-//             (sim::TimerWheel), amortized O(1) push for the heavy-traffic
-//             regime where queue populations explode and O(log n) pops
-//             start to dominate.
-//
-// Backends are constructed by name through a self-registering registry
-// (util::Registry — the same pattern as the strategy registries), so the
-// `timer_queue=` ExperimentConfig key reaches user-registered backends
-// without touching library code.
-//
-// Determinism contract: every backend must pop events in exactly
-// (time, insertion-sequence) order and must allocate slots through the
-// shared detail::SlotPool below.  Identical push/cancel/pop sequences then
-// produce identical EventId values and identical slot indices — which is
-// why run fingerprints are bit-identical across backends, and why the
-// sharded fabric's slot-keyed side tables (sim::Fabric) work unchanged
-// with either.
+// Determinism contract: a backend must pop events in exactly
+// (time, insertion-sequence) order and hand out the heap's EventIds (its
+// slot slab, detail::SlotPool in event_queue.hpp, fixes their layout; a
+// decorator keeps them by forwarding).  Identical
+// push/cancel/pop sequences then produce identical EventId values and slot
+// indices — which is why run fingerprints are bit-identical with or
+// without a decorator, and why the sharded fabric's slot-keyed side
+// tables (sim::Fabric) keep working.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/sim/inline_fn.hpp"
 #include "src/util/registry.hpp"
@@ -57,162 +49,7 @@ struct EventId {
   explicit operator bool() const noexcept { return value != 0; }
 };
 
-namespace detail {
-
-/// Slab of pooled event slots shared by every timer-queue backend: stable
-/// chunked storage for the callables, generation-tagged handles, O(1)
-/// alloc/free through a free list.  Keeping allocation *here* — and only
-/// the ordering structure in the backends — is what makes EventIds (and
-/// hence fingerprints) bit-identical across backends.
-class SlotPool {
- public:
-  /// Live (scheduled, not-yet-fired, not-cancelled) events.
-  std::size_t live_count() const noexcept { return live_; }
-
- protected:
-  /// Slot indices use the low kSlotBits of an ordering key; the rest is
-  /// the insertion sequence.  ~1M simultaneous pending events and 2^44
-  /// total pushes are both far beyond any simulated run.
-  static constexpr unsigned kSlotBits = 20;
-  static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
-
-  /// All-ones sequence field tags a free slot's key; its low bits then
-  /// hold the free-list link (kSlotMask = end of list).  next_seq_ never
-  /// reaches this value.
-  static constexpr std::uint64_t kFreeSeq =
-      (std::uint64_t{1} << (64 - kSlotBits)) - 1;
-
-  /// Slots are allocated in chunks so their addresses — and the callables
-  /// stored inside — never move as the slab grows.  The first chunk is
-  /// small (most simulations keep well under 64 events pending); every
-  /// later chunk is a fixed 32 KiB.
-  static constexpr std::uint32_t kFirstChunkSize = 64;  // 4 KiB starter slab
-  static constexpr unsigned kChunkShift = 9;  // 512 slots = 32 KiB per chunk
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-
-  /// 16 bytes.  key = (seq << kSlotBits) | slot; comparing keys directly
-  /// yields FIFO order on time ties because seq occupies the high bits and
-  /// is unique.
-  struct HeapEntry {
-    Time time;
-    std::uint64_t key;
-  };
-
-  /// Exactly one cache line: 56 bytes of callable + the occupant's key.
-  /// An ordering entry is live iff its key matches its slot's — cancel and
-  /// pop free the slot (new key), instantly orphaning the entry.
-  /// Default state is free with a null free-list link (all-ones key).
-  struct alignas(64) Slot {
-    EventFn fn;
-    std::uint64_t key = ~std::uint64_t{0};
-  };
-
-  static constexpr std::uint32_t entry_slot(std::uint64_t key) noexcept {
-    return static_cast<std::uint32_t>(key) & kSlotMask;
-  }
-  static constexpr bool slot_is_free(std::uint64_t key) noexcept {
-    return (key >> kSlotBits) == kFreeSeq;
-  }
-
-  /// (time, insertion sequence) total order — the determinism contract.
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.key < b.key;
-  }
-
-  Slot& slot_at(std::uint32_t i) noexcept {
-    if (i < kFirstChunkSize) return chunks_[0][i];
-    const std::uint32_t r = i - kFirstChunkSize;
-    return chunks_[1 + (r >> kChunkShift)][r & (kChunkSize - 1)];
-  }
-  const Slot& slot_at(std::uint32_t i) const noexcept {
-    if (i < kFirstChunkSize) return chunks_[0][i];
-    const std::uint32_t r = i - kFirstChunkSize;
-    return chunks_[1 + (r >> kChunkShift)][r & (kChunkSize - 1)];
-  }
-
-  /// Slots constructible before another chunk allocation is needed.
-  std::uint32_t slot_capacity() const noexcept {
-    if (chunks_.empty()) return 0;
-    return kFirstChunkSize +
-           static_cast<std::uint32_t>(chunks_.size() - 1) * kChunkSize;
-  }
-
-  // The slot operations below are defined here — not in a .cpp — so they
-  // inline into every backend's push/cancel/pop (they sit on the hottest
-  // loop in the simulator; an out-of-line bind_slot costs a measurable
-  // fraction of BM_EventQueuePushPop).
-
-  /// Resolves a handle to its live slot, or nullptr when stale/unknown.
-  const Slot* find_live(EventId id) const noexcept {
-    if (!id) return nullptr;
-    const std::uint64_t slot_plus_1 = id.value & 0xffffffffu;
-    if (slot_plus_1 == 0 || slot_plus_1 > slot_count_) return nullptr;
-    const Slot& s = slot_at(static_cast<std::uint32_t>(slot_plus_1 - 1));
-    if (slot_is_free(s.key)) return nullptr;
-    if (static_cast<std::uint32_t>(s.key >> kSlotBits) !=
-        static_cast<std::uint32_t>(id.value >> 32)) {
-      return nullptr;
-    }
-    return &s;
-  }
-  Slot* find_live(EventId id) noexcept {
-    return const_cast<Slot*>(std::as_const(*this).find_live(id));
-  }
-
-  std::uint32_t alloc_slot() {
-    if (free_head_ != kSlotMask) {
-      const std::uint32_t s = free_head_;
-      free_head_ = entry_slot(slot_at(s).key);  // free-list link in low bits
-      return s;
-    }
-    return alloc_slot_grow();
-  }
-  /// Returns a slot to the free list; the caller has dealt with fn.
-  void free_slot(std::uint32_t s) noexcept {
-    slot_at(s).key = (kFreeSeq << kSlotBits) | free_head_;
-    free_head_ = s;
-  }
-
-  /// Stores @p fn in a fresh slot, stamping the next insertion sequence.
-  /// Returns the slot's ordering key; the backend indexes it by time.
-  /// Takes the callable by rvalue reference so it moves exactly once —
-  /// caller's frame straight into the slot.
-  std::uint64_t bind_slot(EventFn&& fn) {
-    const std::uint32_t s = alloc_slot();
-    Slot& slot = slot_at(s);
-    const std::uint64_t key = (next_seq_++ << kSlotBits) | s;
-    slot.key = key;
-    slot.fn = std::move(fn);
-    ++live_;
-    return key;
-  }
-
-  /// Public handle for the slot @p key occupies (push()'s return value).
-  static EventId id_for(std::uint64_t key) noexcept {
-    const auto gen = static_cast<std::uint32_t>(key >> kSlotBits);
-    return EventId{(static_cast<std::uint64_t>(gen) << 32) |
-                   (static_cast<std::uint64_t>(entry_slot(key)) + 1)};
-  }
-
-  /// Cold path of alloc_slot(): free list empty, may grow the slab.
-  std::uint32_t alloc_slot_grow();
-
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::size_t live_ = 0;          // live events (orphans may linger elsewhere)
-  std::uint32_t slot_count_ = 0;  // slots handed out at least once
-  std::uint32_t free_head_ = kSlotMask;
-  std::uint64_t next_seq_ = 0;
-  /// SDA_VALIDATE bookkeeping: pop watermark (each pop must be >= the
-  /// previous pop or the earliest time pushed since — anything lower means
-  /// broken order) and a mutation counter driving the validate cadence.
-  Time last_pop_time_ = std::numeric_limits<Time>::lowest();
-  std::uint64_t mutations_ = 0;
-};
-
-}  // namespace detail
-
-/// Priority queue of timed callbacks — the Engine's pluggable backend.
+/// Priority queue of timed callbacks — the Engine's backend interface.
 class TimerQueue {
  public:
   virtual ~TimerQueue() = default;
@@ -254,7 +91,7 @@ class TimerQueue {
   /// structured dump on any violation (see core/invariants.hpp).
   virtual void validate() const = 0;
 
-  /// Registry spelling of this backend ("heap", "wheel", ...).
+  /// Registry spelling of this backend ("heap", or a registered name).
   virtual const char* backend_name() const noexcept = 0;
 
   /// Removes and returns the earliest live event as (time, callback).
@@ -273,11 +110,11 @@ class TimerQueue {
 
 // --- backend registry -----------------------------------------------------
 //
-// Same shape (and same generic machinery) as the strategy registries:
-// built-ins self-register on first use; register_timer_queue extends the
-// factory so a user backend is reachable from every config-driven surface
-// — ExperimentConfig's `timer_queue=` key, sda_run, and the sharded
-// fabric.  register_timer_queue is not thread-safe against concurrent
+// Same shape (and same generic machinery) as the strategy registries: the
+// built-in "heap" self-registers on first use; register_timer_queue adds a
+// backend (typically a decorator over make_timer_queue("heap")) that
+// ExperimentConfig::timer_queue can then name, serial and sharded alike.
+// register_timer_queue is not thread-safe against concurrent
 // make_timer_queue calls: register custom backends up front.
 
 using TimerQueueFactory =
@@ -289,10 +126,7 @@ void register_timer_queue(const std::string& name, TimerQueueFactory factory,
                           util::NameMatch match = util::NameMatch::kExact,
                           const std::string& display = {});
 
-/// Display names of every registered backend, in registration order.
-std::vector<std::string> list_timer_queue_names();
-
-/// Factory: "heap", "wheel", plus anything registered (case-insensitive).
+/// Factory: "heap" plus anything registered (case-insensitive).
 /// Throws std::invalid_argument on unknown names, listing the registered
 /// backends and suggesting near-misses.
 std::unique_ptr<TimerQueue> make_timer_queue(const std::string& name);

@@ -19,6 +19,8 @@
 //    backing chunks are immortal (registered in a never-destroyed global
 //    list) so a block freed after its allocating thread exited still points
 //    into live memory, and LeakSanitizer sees every chunk as reachable.
+//    An exiting thread hands its free lists to a shared orphan list that
+//    later refills draw from, so thread churn does not grow the pool.
 #pragma once
 
 #include <cstddef>

@@ -3,7 +3,7 @@
 // backends (sim/timer_queue.cpp).
 //
 // One registry maps case-insensitive names to factories.  Two match modes:
-// exact entries ("ud", "wheel") and prefix families ("div-", "gf-") whose
+// exact entries ("ud", "heap") and prefix families ("div-", "gf-") whose
 // suffix carries a parameter.  Lookup tries exact entries first, then
 // prefix families, both in registration order; unknown names raise
 // std::invalid_argument listing every registered spelling plus a
@@ -12,8 +12,7 @@
 //
 // The template lives in util (not core) because the layering DAG enforced
 // by sda_analyze forbids sim -> core includes, and the timer-queue registry
-// is a sim-layer client.  core/registry.hpp re-exports it as
-// core::Registry<T> for strategy-side callers.
+// is a sim-layer client.
 #pragma once
 
 #include <algorithm>

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include "src/task/notation.hpp"
 #include "src/task/tree.hpp"
+#include "src/util/rng.hpp"
 
 namespace {
 
@@ -32,6 +34,37 @@ LedgerJob job(double release, double deadline, double demand) {
 }
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Differential oracle for core::completion_time_test: the
+/// processor-demand criterion.  For every interval [r, d] spanned by a
+/// (clamped) release and a deadline, the demand of the jobs fully
+/// contained in it must fit in d - r.  Exact for independent
+/// preemptive-EDF jobs whose windows are non-empty after clamping to
+/// @p now (the controller retires jobs whose deadline has passed);
+/// O(n^3), so it lives here rather than in the product.
+bool scheduling_point_test(const std::vector<LedgerJob>& jobs, double now) {
+  constexpr double kEps = 1e-9;  // same tolerance as core/admission.cpp
+  const std::size_t n = jobs.size();
+  std::vector<double> release(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    release[i] = std::max(jobs[i].release, now);
+  }
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      const double lo = release[a];
+      const double hi = jobs[b].deadline;
+      if (hi <= lo) continue;
+      double demand = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (release[i] >= lo - kEps && jobs[i].deadline <= hi + kEps) {
+          demand += jobs[i].demand;
+        }
+      }
+      if (demand > hi - lo + kEps) return false;
+    }
+  }
+  return true;
+}
 
 // --- the per-node feasibility battery ------------------------------------
 
@@ -57,27 +90,27 @@ TEST(FeasibilityTests, CompletionTimeIsExactWhereDensityIsConservative) {
   std::vector<LedgerJob> jobs = {job(0, 10, 9), job(0, 2, 1)};
   EXPECT_FALSE(core::utilization_test(jobs, 0.0, 1.0));
   EXPECT_TRUE(core::completion_time_test(jobs, 0.0));
-  EXPECT_TRUE(core::scheduling_point_test(jobs, 0.0));
+  EXPECT_TRUE(scheduling_point_test(jobs, 0.0));
 }
 
 TEST(FeasibilityTests, CompletionTimeCatchesOverload) {
   std::vector<LedgerJob> jobs = {job(0, 10, 9), job(0, 2, 2.5)};
   EXPECT_FALSE(core::completion_time_test(jobs, 0.0));
-  EXPECT_FALSE(core::scheduling_point_test(jobs, 0.0));
+  EXPECT_FALSE(scheduling_point_test(jobs, 0.0));
 }
 
 TEST(FeasibilityTests, CompletionTimeHandlesFutureReleasesAndPreemption) {
   // A runs 0..3, B preempts (earlier deadline) 3..5, A resumes 5..8.
   std::vector<LedgerJob> ok = {job(0, 10, 6), job(3, 5, 2)};
   EXPECT_TRUE(core::completion_time_test(ok, 0.0));
-  EXPECT_TRUE(core::scheduling_point_test(ok, 0.0));
+  EXPECT_TRUE(scheduling_point_test(ok, 0.0));
 
   // Two staged jobs fill [2, 4]; a third cannot also fit there.
   std::vector<LedgerJob> staged = {job(0, 4, 2), job(2, 4, 2)};
   EXPECT_TRUE(core::completion_time_test(staged, 0.0));
   staged.push_back(job(2, 4, 2));
   EXPECT_FALSE(core::completion_time_test(staged, 0.0));
-  EXPECT_FALSE(core::scheduling_point_test(staged, 0.0));
+  EXPECT_FALSE(scheduling_point_test(staged, 0.0));
 }
 
 TEST(FeasibilityTests, ExactTestsAgreeOnABattery) {
@@ -93,9 +126,51 @@ TEST(FeasibilityTests, ExactTestsAgreeOnABattery) {
   };
   for (std::size_t i = 0; i < batteries.size(); ++i) {
     EXPECT_EQ(core::completion_time_test(batteries[i], 0.0),
-              core::scheduling_point_test(batteries[i], 0.0))
+              scheduling_point_test(batteries[i], 0.0))
         << "battery " << i;
   }
+
+  // Seeded generator: job sets whose releases and deadlines cluster
+  // around a few shared instants, on a dyadic grid so that every sum is
+  // exact in double and ties, exact fits, and releases clamped to `now`
+  // all occur often.  Windows stay non-empty after clamping, as in a
+  // live ledger.
+  constexpr double kGrid = 0.25;
+  util::Rng rng(0xfea51b1eULL);
+  int feasible = 0;
+  int infeasible = 0;
+  for (int set = 0; set < 4000; ++set) {
+    const double now = kGrid * static_cast<double>(rng.uniform_int(0, 4));
+    const int clusters = static_cast<int>(rng.uniform_int(1, 3));
+    std::vector<double> centers;
+    for (int c = 0; c < clusters; ++c) {
+      centers.push_back(kGrid * static_cast<double>(rng.uniform_int(0, 40)));
+    }
+    std::vector<LedgerJob> jobs;
+    const int n = static_cast<int>(rng.uniform_int(1, 9));
+    for (int i = 0; i < n; ++i) {
+      const double center = centers[static_cast<std::size_t>(
+          rng.uniform_int(0, clusters - 1))];
+      const double release =
+          center + kGrid * static_cast<double>(rng.uniform_int(0, 2));
+      const double open = std::max(release, now);
+      const double deadline =
+          open + kGrid * static_cast<double>(rng.uniform_int(1, 24));
+      const double demand = kGrid * static_cast<double>(rng.uniform_int(0, 12));
+      jobs.push_back(job(release, deadline, demand));
+    }
+    const bool walk = core::completion_time_test(jobs, now);
+    ASSERT_EQ(walk, scheduling_point_test(jobs, now))
+        << "set " << set << " (n=" << n << ", now=" << now << ")";
+    if (walk) {
+      ++feasible;
+    } else {
+      ++infeasible;
+    }
+  }
+  // The generator must exercise both verdicts in earnest.
+  EXPECT_GT(feasible, 800);
+  EXPECT_GT(infeasible, 800);
 }
 
 // --- the admission controller --------------------------------------------

@@ -2,8 +2,9 @@
 // per-thread size-class pool behind task::TreeNode's pooled operator new
 // and the pooled SimpleTask factories.  The interesting properties are the
 // ones ASan/LSan can falsify: reset-and-reuse returns the same storage
-// without leaking, cross-thread frees land safely, and interleaved tree
-// clone/destroy churn recycles blocks instead of growing without bound.
+// without leaking, cross-thread frees land safely, exited threads' free
+// lists are reused, and interleaved tree clone/destroy churn recycles
+// blocks instead of growing without bound.
 #include "src/util/arena.hpp"
 
 #include <gtest/gtest.h>
@@ -126,6 +127,48 @@ TEST(Pool, CrossThreadFreeIsSafe) {
   });
   t2.join();
   for (void* p : theirs) sda::util::pool_free(p, 48);
+}
+
+TEST(Pool, ExitedThreadsHandTheirListsOn) {
+  // Each short-lived thread allocates and frees one block, then exits.
+  // Its free list must outlive it — handed to the shared orphan list and
+  // adopted by the next thread's refill — so the reserved footprint does
+  // not grow with the number of threads (serve rounds and sharded
+  // replications each run on fresh threads).
+  constexpr std::size_t kBytes = 336;  // a size class no other test uses
+  const auto churn = [] {
+    std::thread t([] {
+      sda::util::pool_free(sda::util::pool_alloc(kBytes), kBytes);
+    });
+    t.join();
+  };
+  churn();
+  const std::size_t reserved = sda::util::pool_bytes_reserved();
+  for (int i = 0; i < 32; ++i) churn();
+  EXPECT_EQ(sda::util::pool_bytes_reserved(), reserved);
+}
+
+TEST(Pool, FreeFromLateThreadLocalDestructor) {
+  // A thread_local constructed before the thread's first pool use is
+  // destroyed after the pool has handed the thread's lists on; its free
+  // must still land safely (on the orphan list), and a later thread must
+  // be able to reuse that storage.
+  constexpr std::size_t kBytes = 368;  // a size class no other test uses
+  struct Holder {
+    void* block = nullptr;
+    ~Holder() { sda::util::pool_free(block, kBytes); }
+  };
+  std::thread t([] {
+    thread_local Holder holder;
+    holder.block = sda::util::pool_alloc(kBytes);
+  });
+  t.join();
+  const std::size_t reserved = sda::util::pool_bytes_reserved();
+  std::thread t2([] {
+    sda::util::pool_free(sda::util::pool_alloc(kBytes), kBytes);
+  });
+  t2.join();
+  EXPECT_EQ(sda::util::pool_bytes_reserved(), reserved);
 }
 
 TEST(Pool, AllocateSharedTask) {

@@ -80,7 +80,6 @@ TEST(ConfigKv, RoundTripEveryFieldNonDefault) {
   c.retry_deadline = "stale";
   c.shed_negative_slack = false;
   c.admission = true;
-  c.admission_tests = "util,ct,sp";
   c.admission_util_bound = 0.95;
   c.admission_enter_degraded = 0.65;
   c.admission_exit_degraded = 0.5;
@@ -95,7 +94,6 @@ TEST(ConfigKv, RoundTripEveryFieldNonDefault) {
   c.global_burst_cycle = 99.0;
   c.shards = 3;
   c.net_latency = 0.25;
-  c.timer_queue = "wheel";
   c.sim_time = 12345.6789;
   c.warmup_fraction = 0.1;
   c.replications = 7;
@@ -227,6 +225,15 @@ TEST(ConfigValidate, GraphShardsMayUseLinkLanes) {
   c.shards = c.k + 2;  // compute lanes + link lanes
   EXPECT_TRUE(c.validate().empty());
   c.shards = c.k + 3;
+  EXPECT_FALSE(c.validate().empty());
+}
+
+TEST(ConfigValidate, TimerQueueMustBeRegistered) {
+  // Not a config key — code that registers a backend sets the field —
+  // but validate() still catches a name nothing registered.
+  ExperimentConfig c = exp::baseline_config();
+  EXPECT_THROW(c.set("timer_queue", "heap"), std::invalid_argument);
+  c.timer_queue = "wheel";
   EXPECT_FALSE(c.validate().empty());
 }
 

@@ -1,5 +1,5 @@
-// The socket transport: listen-spec parsing, the Poller shim (epoll and
-// the poll fallback), and loopback end-to-end behavior of ServeServer —
+// The socket transport: listen-spec parsing, the poll(2) Poller shim,
+// and loopback end-to-end behavior of ServeServer —
 // reply routing across clients, oversized-line answers, truncated final
 // lines, idle eviction, orphaned replies, and the drain summary.
 #include "src/exp/net.hpp"
@@ -16,7 +16,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -235,7 +234,7 @@ TEST(PollerShim, ReportsReadinessOnAPipe) {
   Poller poller;
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_TRUE(poller.add(fds[0], /*want_write=*/false));
+  poller.watch(fds[0], /*want_write=*/false);
   std::vector<Poller::Event> events;
   ASSERT_TRUE(poller.wait(0, events));
   EXPECT_TRUE(events.empty());  // nothing to read yet
@@ -248,28 +247,26 @@ TEST(PollerShim, ReportsReadinessOnAPipe) {
   if (::close(fds[0]) != 0 || ::close(fds[1]) != 0) { /* teardown */ }
 }
 
-TEST(PollerShim, PollFallbackIsForcedByEnv) {
-  ASSERT_EQ(::setenv("SDA_NET_POLL", "1", 1), 0);
-  {
-    Poller poller;
-    EXPECT_FALSE(poller.using_epoll());
-    // The fallback still works end to end.
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    ASSERT_TRUE(poller.add(fds[0], false));
-    ASSERT_EQ(::write(fds[1], "x", 1), 1);
-    std::vector<Poller::Event> events;
-    ASSERT_TRUE(poller.wait(1000, events));
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_TRUE(events[0].readable);
-    poller.remove(fds[0]);
-    if (::close(fds[0]) != 0 || ::close(fds[1]) != 0) { /* teardown */ }
-  }
-  ASSERT_EQ(::unsetenv("SDA_NET_POLL"), 0);
-#ifdef __linux__
-  Poller epoll_poller;
-  EXPECT_TRUE(epoll_poller.using_epoll());
-#endif
+TEST(PollerShim, WatchReplacesInterest) {
+  // Write interest is armed only while replies are pending: re-watching
+  // an fd must replace its interest, and remove() must silence it.
+  Poller poller;
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::vector<Poller::Event> events;
+  poller.watch(fds[1], /*want_write=*/true);
+  ASSERT_TRUE(poller.wait(1000, events));
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].fd, fds[1]);
+  EXPECT_TRUE(events[0].writable);
+  poller.watch(fds[1], /*want_write=*/false);
+  ASSERT_TRUE(poller.wait(0, events));
+  EXPECT_TRUE(events.empty());  // an empty pipe's write end never reads
+  poller.watch(fds[1], /*want_write=*/true);
+  poller.remove(fds[1]);
+  ASSERT_TRUE(poller.wait(0, events));
+  EXPECT_TRUE(events.empty());
+  if (::close(fds[0]) != 0 || ::close(fds[1]) != 0) { /* teardown */ }
 }
 
 // --- ServeServer end to end -----------------------------------------------
@@ -281,6 +278,7 @@ TEST(ServeServerLoop, SubmitDecideDrainOverTcp) {
   const std::string banner = loop.server().banner();
   EXPECT_NE(banner.find("\"schema\":\"sda.listen.v1\""), std::string::npos);
   EXPECT_NE(banner.find("\"transport\":\"tcp\""), std::string::npos);
+  EXPECT_NE(banner.find("\"backend\":\"poll\""), std::string::npos);
 
   Client client(loop.server().bound_port());
   ASSERT_TRUE(client.connected());
@@ -455,26 +453,6 @@ TEST(ServeServerLoop, UnixSocketTransportWorks) {
   ASSERT_TRUE(client.send_line("sub id=1 at=0 deadline=5 tree=a@0:1/1"));
   EXPECT_NE(client.read_line().find("\"id\":1"), std::string::npos);
   loop.stop();
-}
-
-TEST(ServeServerLoop, PollBackendServesEndToEnd) {
-  // The whole loop again under the poll fallback: same behavior, no
-  // epoll dependency (this is what non-Linux builds run).
-  ASSERT_EQ(::setenv("SDA_NET_POLL", "1", 1), 0);
-  {
-    Loop loop(serve_options(), ephemeral_tcp());
-    ASSERT_TRUE(loop.start());
-    EXPECT_NE(loop.server().banner().find("\"backend\":\"poll\""),
-              std::string::npos);
-    Client client(loop.server().bound_port());
-    ASSERT_TRUE(client.connected());
-    ASSERT_TRUE(client.send_line("sub id=1 at=0 deadline=5 tree=a@0:1/1"));
-    EXPECT_NE(client.read_line().find("\"id\":1"), std::string::npos);
-    loop.stop();
-    EXPECT_NE(loop.summary().find("\"schema\":\"sda.serve.summary.v1\""),
-              std::string::npos);
-  }
-  ASSERT_EQ(::unsetenv("SDA_NET_POLL"), 0);
 }
 
 TEST(ServeServerLoop, SlowClientIsEvictedMidPipelineWithoutCorruption) {

@@ -1,11 +1,11 @@
-// Pluggable timer-queue backends (src/sim/timer_queue.*, timer_wheel.*):
-// the contract is that "heap" (the pooled 4-ary min-heap) and "wheel"
-// (the hierarchical timing wheel) are observationally identical — same
-// pop order, same EventId handles, same run fingerprints — under any
-// push/cancel/reschedule/pop sequence.  The differential tests below
-// drive both backends with one op stream and compare everything the
-// Engine could observe; the fingerprint tests close the loop end-to-end
-// through ExperimentConfig's `timer_queue=` key, serial and sharded.
+// The timer-queue seam (src/sim/timer_queue.*): the "heap" backend must
+// pop in exactly (time, insertion-sequence) order under any
+// push/cancel/reschedule/pop sequence, and a backend registered through
+// sim::register_timer_queue — a forwarding decorator, the way a profiler
+// wraps the heap — must leave run fingerprints bit-identical, serially and
+// sharded.  The differential tests drive the heap and a small ordered
+// reference model with one op stream and compare everything the Engine
+// could observe.
 //
 // This test runs under ThreadSanitizer in scripts/check_sanitizers.sh
 // (the tsan ctest preset includes it), so keep the horizons short.
@@ -13,11 +13,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exp/config.hpp"
@@ -36,116 +38,37 @@ std::unique_ptr<TimerQueue> make(const std::string& name) {
   return sim::make_timer_queue(name);
 }
 
-// --- wheel basics ----------------------------------------------------------
+// --- differential: heap vs an ordered reference model ----------------------
 
-TEST(TimerWheel, EmptyInitially) {
-  auto q = make("wheel");
-  EXPECT_TRUE(q->empty());
-  EXPECT_EQ(q->size(), 0u);
-  EXPECT_STREQ(q->backend_name(), "wheel");
-}
-
-TEST(TimerWheel, PopsInTimeOrder) {
-  auto q = make("wheel");
-  std::vector<int> fired;
-  q->push(3.0, [&] { fired.push_back(3); });
-  q->push(1.0, [&] { fired.push_back(1); });
-  q->push(2.0, [&] { fired.push_back(2); });
-  while (!q->empty()) q->pop().second();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(TimerWheel, EqualTimesFifo) {
-  auto q = make("wheel");
-  std::vector<int> fired;
-  for (int i = 0; i < 32; ++i) {
-    q->push(5.0, [&fired, i] { fired.push_back(i); });
-  }
-  while (!q->empty()) q->pop().second();
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(TimerWheel, CancelPreventsFiring) {
-  auto q = make("wheel");
-  bool fired = false;
-  const EventId id = q->push(1.0, [&] { fired = true; });
-  q->push(2.0, [] {});
-  EXPECT_TRUE(q->pending(id));
-  EXPECT_TRUE(q->cancel(id));
-  EXPECT_FALSE(q->pending(id));
-  EXPECT_FALSE(q->cancel(id));  // already cancelled
-  EXPECT_EQ(q->size(), 1u);
-  EXPECT_DOUBLE_EQ(q->peek_time(), 2.0);
-  while (!q->empty()) q->pop().second();
-  EXPECT_FALSE(fired);
-}
-
-TEST(TimerWheel, PeekDoesNotRemove) {
-  auto q = make("wheel");
-  q->push(7.0, [] {});
-  EXPECT_DOUBLE_EQ(q->peek_time(), 7.0);
-  EXPECT_EQ(q->size(), 1u);
-}
-
-TEST(TimerWheel, DrainAndReuseReseeds) {
-  // Draining the wheel must let the next population re-seed its origin and
-  // bucket width; a second, much later batch still pops in order.
-  auto q = make("wheel");
-  for (int round = 0; round < 3; ++round) {
-    const double base = 1e3 * round * round;  // widely different scales
-    for (int i = 9; i >= 0; --i) q->push(base + i * 0.125, [] {});
-    double last = -1.0;
-    while (!q->empty()) {
-      auto [t, fn] = q->pop();
-      EXPECT_GE(t, last);
-      last = t;
-      fn();
-    }
-  }
-}
-
-TEST(TimerWheel, FarFutureOverflowCascades) {
-  // Events far beyond the top wheel level land in the overflow list and
-  // must still come out in global time order.
-  auto q = make("wheel");
-  std::vector<double> popped;
-  q->push(1.0, [] {});
-  q->push(1e9, [] {});
-  q->push(5e4, [] {});
-  q->push(2.0, [] {});
-  while (!q->empty()) popped.push_back(q->pop().first);
-  EXPECT_EQ(popped, (std::vector<double>{1.0, 2.0, 5e4, 1e9}));
-}
-
-// --- differential: heap vs wheel -------------------------------------------
-
-/// Drives both backends with one operation stream and asserts every
-/// observable matches: push handles, pending(), cancel results, pop times,
-/// pop order (via tokens), sizes.
+/// Drives the heap and a reference model — an ordered (time, sequence)
+/// map, the determinism contract written down directly — with one
+/// operation stream, and asserts every observable matches: pending(),
+/// cancel results, peek and pop times, pop order (via tokens), sizes.
 class Differential {
  public:
-  Differential() : heap_(make("heap")), wheel_(make("wheel")) {}
+  Differential() : heap_(make("heap")) {}
 
-  EventId push(Time t) {
+  void push(Time t) {
     const int token = next_token_++;
-    const EventId h = heap_->push(t, [this, token] { heap_fired_.push_back(token); });
-    const EventId w =
-        wheel_->push(t, [this, token] { wheel_fired_.push_back(token); });
-    EXPECT_EQ(h.value, w.value) << "push handles diverged at token " << token;
-    live_.push_back(h);
-    return h;
+    const EventId id =
+        heap_->push(t, [this, token] { fired_.push_back(token); });
+    const Key key{t, next_seq_++};
+    model_.emplace(key, token);
+    handles_.emplace_back(id, key);
   }
 
+  /// Cancels a random handle ever pushed — possibly one already fired or
+  /// cancelled, which both sides must report as not pending.
   void cancel_random(util::Rng& rng) {
-    if (live_.empty()) return;
+    if (handles_.empty()) return;
     const std::size_t i = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(live_.size()) - 1));
-    const EventId id = live_[i];
-    EXPECT_EQ(heap_->pending(id), wheel_->pending(id));
-    EXPECT_EQ(heap_->cancel(id), wheel_->cancel(id));
-    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
+        rng.uniform_int(0, static_cast<std::int64_t>(handles_.size()) - 1));
+    const auto [id, key] = handles_[i];
+    const bool live = model_.erase(key) == 1;
+    EXPECT_EQ(heap_->pending(id), live);
+    EXPECT_EQ(heap_->cancel(id), live);
+    EXPECT_FALSE(heap_->pending(id));
+    handles_.erase(handles_.begin() + static_cast<std::ptrdiff_t>(i));
   }
 
   /// Reschedule = cancel + push at a new time (the Engine's idiom).
@@ -154,41 +77,48 @@ class Differential {
     push(new_time);
   }
 
-  void pop_one() {
-    ASSERT_EQ(heap_->empty(), wheel_->empty());
-    if (heap_->empty()) return;
-    EXPECT_DOUBLE_EQ(heap_->peek_time(), wheel_->peek_time());
-    auto [ht, hfn] = heap_->pop();
-    auto [wt, wfn] = wheel_->pop();
-    EXPECT_EQ(ht, wt);
-    hfn();
-    wfn();
-    ASSERT_FALSE(heap_fired_.empty());
-    ASSERT_FALSE(wheel_fired_.empty());
-    EXPECT_EQ(heap_fired_.back(), wheel_fired_.back());
+  /// Pops one event from both sides; false when both are empty or they
+  /// disagree on emptiness.
+  bool pop_one() {
+    EXPECT_EQ(heap_->empty(), model_.empty());
+    if (heap_->empty() || model_.empty()) return false;
+    const auto expected = model_.begin();
+    EXPECT_EQ(heap_->peek_time(), expected->first.first);
+    auto [t, fn] = heap_->pop();
+    EXPECT_EQ(t, expected->first.first);
+    fn();
+    EXPECT_FALSE(fired_.empty());
+    if (!fired_.empty()) {
+      EXPECT_EQ(fired_.back(), expected->second);
+    }
+    model_.erase(expected);
+    return true;
   }
 
   void drain() {
-    while (!heap_->empty() || !wheel_->empty()) pop_one();
-    EXPECT_EQ(heap_fired_, wheel_fired_);
+    while (pop_one()) {
+    }
+    check_sizes();
   }
 
   void check_sizes() const {
-    EXPECT_EQ(heap_->size(), wheel_->size());
-    EXPECT_EQ(heap_->empty(), wheel_->empty());
+    EXPECT_EQ(heap_->size(), model_.size());
+    EXPECT_EQ(heap_->empty(), model_.empty());
   }
 
  private:
+  using Key = std::pair<Time, std::uint64_t>;  ///< (time, insertion seq)
+
   std::unique_ptr<TimerQueue> heap_;
-  std::unique_ptr<TimerQueue> wheel_;
-  std::vector<EventId> live_;
-  std::vector<int> heap_fired_;
-  std::vector<int> wheel_fired_;
+  std::map<Key, int> model_;  ///< live events -> token
+  std::vector<std::pair<EventId, Key>> handles_;
+  std::vector<int> fired_;
+  std::uint64_t next_seq_ = 0;
   int next_token_ = 0;
 };
 
 /// Clustered deadlines: bursts of near-equal times (the admission front
-/// door's retry storms) stress the FIFO-on-tie path and bucket sweeps.
+/// door's retry storms) stress the FIFO-on-tie path.
 TEST(TimerQueueDifferential, ClusteredDeadlines) {
   util::Rng rng(0xc1a5ULL);
   Differential d;
@@ -212,7 +142,7 @@ TEST(TimerQueueDifferential, ClusteredDeadlines) {
 }
 
 /// Heavy-tailed deadlines: most events near now, occasional events orders
-/// of magnitude out — exercises overflow, cascade, and width adaptation.
+/// of magnitude out.
 TEST(TimerQueueDifferential, HeavyTailedDeadlines) {
   util::Rng rng(0x7a11ULL);
   Differential d;
@@ -238,7 +168,7 @@ TEST(TimerQueueDifferential, HeavyTailedDeadlines) {
 }
 
 /// Full random soak with all operations mixed, including complete drains
-/// mid-sequence (forcing the wheel to re-seed at a new origin).
+/// mid-sequence (the slot free list then recycles every slot).
 TEST(TimerQueueDifferential, RandomSoakWithDrains) {
   util::Rng rng(0x5eedULL);
   Differential d;
@@ -254,7 +184,7 @@ TEST(TimerQueueDifferential, RandomSoakWithDrains) {
     } else if (r < 0.98) {
       d.pop_one();
     } else {
-      d.drain();  // occasional full drain + re-seed
+      d.drain();  // occasional full drain
       now += rng.exponential(100.0);
     }
     d.check_sizes();
@@ -264,30 +194,61 @@ TEST(TimerQueueDifferential, RandomSoakWithDrains) {
 
 // --- registry ---------------------------------------------------------------
 
-TEST(TimerQueueRegistry, ListsBuiltins) {
-  const std::vector<std::string> names = sim::list_timer_queue_names();
-  ASSERT_GE(names.size(), 2u);
-  EXPECT_NE(std::find(names.begin(), names.end(), "heap"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "wheel"), names.end());
-}
-
 TEST(TimerQueueRegistry, CaseInsensitive) {
   EXPECT_STREQ(make("HEAP")->backend_name(), "heap");
-  EXPECT_STREQ(make("Wheel")->backend_name(), "wheel");
 }
 
 TEST(TimerQueueRegistry, UnknownNameListsBackendsAndSuggests) {
   try {
-    make("whel");
+    make("haep");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("heap"), std::string::npos) << what;
-    EXPECT_NE(what.find("wheel"), std::string::npos) << what;
   }
 }
 
 // --- end-to-end fingerprint identity ----------------------------------------
+
+/// Pops forwarded by every Forwarding queue; relaxed, since shard engines
+/// run on their own threads.
+std::atomic<std::uint64_t> g_forwarded_pops{0};
+
+/// Forwards every call to the heap, counting pops — the shape of a
+/// profiling decorator registered through sim::register_timer_queue.
+class Forwarding final : public TimerQueue {
+ public:
+  Forwarding() : inner_(make("heap")) {}
+  EventId push(Time t, sim::EventFn fn) override {
+    return inner_->push(t, std::move(fn));
+  }
+  bool cancel(EventId id) override { return inner_->cancel(id); }
+  bool pending(EventId id) const noexcept override {
+    return inner_->pending(id);
+  }
+  bool empty() const noexcept override { return inner_->empty(); }
+  std::size_t size() const noexcept override { return inner_->size(); }
+  Time peek_time() const override { return inner_->peek_time(); }
+  Popped pop_slot() override {
+    g_forwarded_pops.fetch_add(1, std::memory_order_relaxed);
+    return inner_->pop_slot();
+  }
+  void validate() const override { inner_->validate(); }
+  const char* backend_name() const noexcept override { return "forwarding"; }
+
+ private:
+  std::unique_ptr<TimerQueue> inner_;
+};
+
+const std::string& forwarding_backend() {
+  static const std::string name = [] {
+    sim::register_timer_queue("forwarding", [](const std::string&) {
+      return std::unique_ptr<TimerQueue>(std::make_unique<Forwarding>());
+    });
+    return std::string("forwarding");
+  }();
+  return name;
+}
 
 std::uint64_t fingerprint_of(exp::ExperimentConfig c, const std::string& tq,
                              int shards, std::uint64_t seed) {
@@ -298,20 +259,27 @@ std::uint64_t fingerprint_of(exp::ExperimentConfig c, const std::string& tq,
   return tracer.fingerprint();
 }
 
-/// The backend is a pure implementation detail: a run's trace fingerprint
-/// must be bit-identical under heap and wheel, serially and sharded.
-TEST(TimerQueueFingerprint, HeapAndWheelIdentical) {
+/// A registered decorator is a pure observer: a run's trace fingerprint
+/// must be bit-identical through it and through the bare heap, serially
+/// and sharded — and the decorator must actually have been driven.
+TEST(TimerQueueFingerprint, ForwardingDecoratorIdentical) {
   exp::ExperimentConfig c = exp::baseline_config();
   c.sim_time = 60.0;  // short horizon: this also runs under TSan
   c.k = 8;
   c.replications = 1;
+  const std::string& forwarding = forwarding_backend();
+  EXPECT_STREQ(make(forwarding)->backend_name(), "forwarding");
   for (const std::uint64_t seed : {1ULL, 42ULL}) {
     const std::uint64_t heap_serial = fingerprint_of(c, "heap", 1, seed);
-    const std::uint64_t wheel_serial = fingerprint_of(c, "wheel", 1, seed);
-    EXPECT_EQ(heap_serial, wheel_serial) << "serial, seed=" << seed;
+    g_forwarded_pops.store(0);
+    const std::uint64_t fwd_serial = fingerprint_of(c, forwarding, 1, seed);
+    EXPECT_GT(g_forwarded_pops.load(), 0u) << "serial, seed=" << seed;
+    EXPECT_EQ(heap_serial, fwd_serial) << "serial, seed=" << seed;
     const std::uint64_t heap_sharded = fingerprint_of(c, "heap", 4, seed);
-    const std::uint64_t wheel_sharded = fingerprint_of(c, "wheel", 4, seed);
-    EXPECT_EQ(heap_sharded, wheel_sharded) << "shards=4, seed=" << seed;
+    g_forwarded_pops.store(0);
+    const std::uint64_t fwd_sharded = fingerprint_of(c, forwarding, 4, seed);
+    EXPECT_GT(g_forwarded_pops.load(), 0u) << "shards=4, seed=" << seed;
+    EXPECT_EQ(heap_sharded, fwd_sharded) << "shards=4, seed=" << seed;
     EXPECT_EQ(heap_serial, heap_sharded) << "heap serial vs sharded, seed=" << seed;
   }
 }

@@ -51,7 +51,6 @@
 #include "src/exp/runner.hpp"
 #include "src/exp/serve.hpp"
 #include "src/metrics/json_writer.hpp"
-#include "src/sim/timer_queue.hpp"
 #include "src/metrics/percentile.hpp"
 #include "src/metrics/report.hpp"
 #include "src/metrics/task_class.hpp"
@@ -341,18 +340,6 @@ int main(int argc, char** argv) {
 
   if (list_keys) {
     for (const auto& [key, value] : config.to_kv()) {
-      if (key == "timer_queue") {
-        // Enumerate the registered backends so the legal values are
-        // discoverable without reading code (user backends included).
-        std::string names;
-        for (const auto& n : sim::list_timer_queue_names()) {
-          names += names.empty() ? "" : "|";
-          names += n;
-        }
-        std::printf("%-24s %s (one of: %s)\n", key.c_str(), value.c_str(),
-                    names.c_str());
-        continue;
-      }
       std::printf("%-24s %s\n", key.c_str(), value.c_str());
     }
     return 0;
