@@ -315,12 +315,8 @@ void BM_ServeStream(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeStream);
 
-void BM_ServeSocket(benchmark::State& state) {
-  // End-to-end admissions/sec through the *socket* front door: TCP
-  // loopback, the event loop on its own thread, one client writing the
-  // BM_ServeStream script and reading every routed reply back.  The
-  // delta against BM_ServeStream is the transport tax (poll wakeups,
-  // line reassembly, reply routing, loopback copies).
+/// One BM_ServeSocket* iteration loop; @p journal_path empty = no journal.
+void serve_socket(benchmark::State& state, const std::string& journal_path) {
   constexpr int kSubs = 256;
   std::string script = serve_script(kSubs);
   // Sentinel tail: an unknown id is answered immediately on the same
@@ -331,11 +327,13 @@ void BM_ServeSocket(benchmark::State& state) {
   for (auto _ : state) {
     exp::ServeOptions opts;
     opts.admission.node_count = 8;
+    opts.journal_path = journal_path;
+    if (!journal_path.empty()) std::remove(journal_path.c_str());
     exp::ServeSession session(opts);
     exp::net::ServerOptions server_opts;  // 127.0.0.1, ephemeral port
     exp::net::ServeServer server(session, server_opts);
     std::string error;
-    if (!server.start(&error)) {
+    if (!session.open_journal(&error) || !server.start(&error)) {
       state.SkipWithError(error.c_str());
       return;
     }
@@ -372,9 +370,28 @@ void BM_ServeSocket(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(received.size());
   }
+  if (!journal_path.empty()) std::remove(journal_path.c_str());
   state.SetItemsProcessed(state.iterations() * kSubs);
 }
+
+void BM_ServeSocket(benchmark::State& state) {
+  // End-to-end admissions/sec through the *socket* front door: TCP
+  // loopback, the event loop on its own thread, one client writing the
+  // BM_ServeStream script and reading every routed reply back.  The
+  // delta against BM_ServeStream is the transport tax (poll wakeups,
+  // line reassembly, reply routing, loopback copies).
+  serve_socket(state, "");
+}
 BENCHMARK(BM_ServeSocket);
+
+void BM_ServeSocketJournal(benchmark::State& state) {
+  // BM_ServeSocket with the write-ahead journal on (default flush
+  // settings), in the working directory: each event-loop turn pays one
+  // fsync before its replies leave.
+  serve_socket(state,
+               "sda_bench_socket_" + std::to_string(::getpid()) + ".wal");
+}
+BENCHMARK(BM_ServeSocketJournal);
 
 void BM_JournalRecoveryReplay(benchmark::State& state) {
   // Crash-recovery cost: replay an N-record sda.journal.v1 into a

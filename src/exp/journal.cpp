@@ -225,7 +225,6 @@ bool JournalWriter::open(const std::string& path, const Config& config,
     }
   }
   fd_ = fd;
-  last_flush_ = std::chrono::steady_clock::now();
   return true;
 }
 
@@ -271,15 +270,7 @@ bool JournalWriter::flush_impl() {
   }
   buffer_.clear();
   pending_ = 0;
-  last_flush_ = std::chrono::steady_clock::now();
   return true;
-}
-
-bool JournalWriter::maybe_flush(std::chrono::steady_clock::time_point now) {
-  util::RoleGuard own(owner_);
-  if (pending_ == 0) return true;
-  if (now - last_flush_ < config_.flush_interval) return true;
-  return flush_impl();
 }
 
 void JournalWriter::close() {

@@ -22,12 +22,15 @@
 // the length or checksum test, so recovery replays the longest valid
 // prefix and reports where (and why) it stopped.  A restarted writer
 // truncates that torn tail before appending, so a crash-restart-crash
-// sequence replays its records instead of losing them to a glued line.  Writes are batched:
-// records buffer in user space and are written + fsync'd every
-// `flush_every` records or when `flush_interval` elapses (the socket
-// event loop calls maybe_flush on its timer tick), and always on
-// checkpoint/close — a bounded-loss window traded for not paying an
-// fsync per decision.
+// sequence replays its records instead of losing them to a glued line.
+//
+// Durability is a group commit.  Records buffer in user space; the
+// serve transports call flush() (through ServeSession::commit) once per
+// batch of lines and send the batch's replies only after it returns, so
+// a client never holds a decision whose record could still be lost to a
+// crash.  `flush_every` caps the records one fsync covers (the writer
+// flushes on its own when a batch reaches it), and checkpoint/close
+// always flush.
 #pragma once
 
 #include <chrono>
@@ -76,8 +79,10 @@ JournalReadResult read_journal(const std::string& path);
 class JournalWriter {
  public:
   struct Config {
-    std::size_t flush_every = 32;  ///< records per write+fsync batch
-    std::chrono::milliseconds flush_interval{100};  ///< wall-clock bound
+    std::size_t flush_every = 32;  ///< cap on records per write+fsync
+    /// Unused: nothing is left pending between commits, so there is no
+    /// timer-driven flush.  Kept so existing callers (perfbench/) build.
+    std::chrono::milliseconds flush_interval{100};
   };
 
   JournalWriter() = default;
@@ -110,10 +115,6 @@ class JournalWriter {
 
   /// Writes buffered records and fsyncs.  No-op when nothing pending.
   bool flush();
-
-  /// Timer-driven flush: flushes when `flush_interval` has elapsed
-  /// since the last flush and records are pending.
-  bool maybe_flush(std::chrono::steady_clock::time_point now);
 
   /// Flushes and closes the fd.
   void close();
@@ -150,7 +151,6 @@ class JournalWriter {
   std::uint64_t io_errors_ SDA_GUARDED_BY(owner_) = 0;
   /// Sticky after an unrecoverable error.
   bool failed_ SDA_GUARDED_BY(owner_) = false;
-  std::chrono::steady_clock::time_point last_flush_ SDA_GUARDED_BY(owner_){};
 };
 
 }  // namespace sda::exp

@@ -13,6 +13,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -22,6 +23,9 @@
 namespace sda::exp::net {
 
 namespace {
+
+/// Bytes one turn reads from one connection.
+constexpr std::size_t kReadPerTurn = 64 * 1024;
 
 std::uint64_t steady_ms() {
   return static_cast<std::uint64_t>(
@@ -89,10 +93,11 @@ bool Poller::wait(int timeout_ms, std::vector<Event>& events) {
   events.clear();
   std::vector<pollfd> fds;
   fds.reserve(interest_.size());
-  for (const auto& [fd, want_write] : interest_) {
+  for (const auto& [fd, interest] : interest_) {
     pollfd p{};
     p.fd = fd;
-    p.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
+    p.events = static_cast<short>((interest.read ? POLLIN : 0) |
+                                  (interest.write ? POLLOUT : 0));
     fds.push_back(p);
   }
   const int n = ::poll(fds.data(), fds.size(), timeout_ms);
@@ -112,7 +117,7 @@ bool Poller::wait(int timeout_ms, std::vector<Event>& events) {
 // --- ServeServer ---------------------------------------------------------
 
 ServeServer::ServeServer(ServeSession& session, const ServerOptions& options)
-    : session_(session), options_(options) {}
+    : session_(session), options_(options), read_buf_(kReadPerTurn) {}
 
 ServeServer::~ServeServer() {
   for (const auto& [fd, conn] : connections_) {
@@ -254,6 +259,15 @@ void ServeServer::accept_clients() {
       if (::close(fd) != 0) { /* setup failed */ }
       continue;
     }
+    if (options_.listen.kind == ListenSpec::Kind::kTcp) {
+      // A turn's replies already leave in one write; Nagle would hold
+      // the next turn's small write until the peer's delayed ACK.
+      const int one = 1;
+      if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) !=
+          0) {
+        /* still correct, only slower against delayed-ACK peers */
+      }
+    }
     poller_.watch(fd, /*want_write=*/false);
     Connection conn;
     conn.fd = fd;
@@ -264,58 +278,43 @@ void ServeServer::accept_clients() {
   }
 }
 
-void ServeServer::send_to(Connection& conn, std::string_view bytes) {
-  if (conn.doomed) return;  // evicted; the close is pending reap
-  conn.outbox.append(bytes.data(), bytes.size());
-  // Opportunistic immediate write keeps the common case buffer-free.
-  while (conn.sent < conn.outbox.size()) {
-    const ssize_t n = ::write(conn.fd, conn.outbox.data() + conn.sent,
-                              conn.outbox.size() - conn.sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;  // EAGAIN or a real error; the poller will tell us
+void ServeServer::flush_outboxes() {
+  std::vector<int> to_close;
+  for (auto& [fd, conn] : connections_) {
+    if (!conn.outbox.empty()) {
+      ssize_t n;
+      do {
+        n = ::send(fd, conn.outbox.data(), conn.outbox.size(), MSG_NOSIGNAL);
+      } while (n < 0 && errno == EINTR);
+      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+        to_close.push_back(fd);
+        continue;
+      }
+      if (n > 0) conn.outbox.erase(0, static_cast<std::size_t>(n));
+      if (conn.outbox.size() > options_.max_write_buffer) {
+        // Slow-client backpressure: the peer is not reading its
+        // decisions, and its kernel buffer refused this much.  Close
+        // abortively (RST): a graceful close would leave the bytes the
+        // kernel did accept queued for a peer that is not reading, and
+        // the peer would not see the hangup until it read them.
+        ++stats_.evicted_slow;
+        const linger abort{1, 0};
+        if (::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort, sizeof abort) !=
+            0) {
+          /* a graceful close still frees the connection */
+        }
+        to_close.push_back(fd);
+        continue;
+      }
     }
-    conn.sent += static_cast<std::size_t>(n);
-  }
-  if (conn.sent == conn.outbox.size()) {
-    conn.outbox.clear();
-    conn.sent = 0;
-    poller_.watch(conn.fd, /*want_write=*/false);
-    return;
-  }
-  if (conn.outbox.size() - conn.sent > options_.max_write_buffer) {
-    // Slow-client backpressure: the peer is not reading its decisions.
-    // Only mark it — this runs inside a LineSplitter callback stack
-    // (feed_line -> route_replies), where destroying the Connection
-    // would free the splitter whose feed() loop is still executing.
-    // reap_doomed() performs the close once the stack unwinds.
-    ++stats_.evicted_slow;
-    conn.doomed = true;
-    doomed_fds_.push_back(conn.fd);
-    return;
-  }
-  poller_.watch(conn.fd, /*want_write=*/true);
-}
-
-void ServeServer::handle_writable(Connection& conn) {
-  while (conn.sent < conn.outbox.size()) {
-    const ssize_t n = ::write(conn.fd, conn.outbox.data() + conn.sent,
-                              conn.outbox.size() - conn.sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      close_connection(conn.fd);
-      return;
+    if (conn.draining && conn.outbox.empty()) {
+      to_close.push_back(fd);
+      continue;
     }
-    conn.sent += static_cast<std::size_t>(n);
+    poller_.watch(fd, /*want_write=*/!conn.outbox.empty(),
+                  /*want_read=*/!conn.draining);
   }
-  conn.outbox.clear();
-  conn.sent = 0;
-  if (conn.draining) {
-    close_connection(conn.fd);
-    return;
-  }
-  poller_.watch(conn.fd, /*want_write=*/false);
+  for (const int fd : to_close) close_connection(fd);
 }
 
 void ServeServer::route_replies(
@@ -342,34 +341,17 @@ void ServeServer::route_replies(
     }
     const auto it =
         target_fd >= 0 ? connections_.find(target_fd) : connections_.end();
-    if (it == connections_.end() || it->second.doomed) {
+    if (it == connections_.end()) {
       ++stats_.orphaned_replies;
       continue;
     }
-    send_to(it->second, reply.line);
+    it->second.outbox += reply.line;  // written after the turn's commit
   }
 }
 
 void ServeServer::feed_line(Connection& conn, std::string_view line,
                             bool oversized) {
   ++stats_.lines;
-  // Pre-parse (cheap, bounded) to learn whether this is a submission —
-  // its decision may resolve long after this call, triggered by another
-  // client, so the id -> connection route must exist before the
-  // admission controller ever sees the line.
-  bool registered_here = false;
-  std::uint64_t sub_id = 0;
-  if (!oversized) {
-    // Peek with the session's own limits: a stricter default here would
-    // reject lines the session accepts, losing their decision routes.
-    const ParsedLine peek = parse_serve_line(line, session_.limits());
-    if (peek.verb == "sub" && peek.has_id &&
-        id_routes_.find(peek.id) == id_routes_.end()) {
-      id_routes_.emplace(peek.id, conn.fd);
-      registered_here = true;
-      sub_id = peek.id;
-    }
-  }
   std::vector<ServeSession::Reply> replies;
   if (oversized) {
     // The splitter handed over a truncated prefix and is discarding the
@@ -387,70 +369,49 @@ void ServeServer::feed_line(Connection& conn, std::string_view line,
     text << "\n";
     r.line = std::move(text).str();
     replies.push_back(std::move(r));
-  } else {
-    session_.handle_line(line, replies);
-  }
-  if (registered_here) {
-    // If the line itself failed (bad tree, duplicate, …) no decision
-    // will ever come; drop the tentative route.
-    for (const ServeSession::Reply& reply : replies) {
-      if (reply.kind == ServeSession::ReplyKind::kError && reply.has_id &&
-          reply.id == sub_id) {
-        id_routes_.erase(sub_id);
-        break;
-      }
-    }
+  } else if (const std::optional<std::uint64_t> accepted =
+                 session_.handle_line(line, replies)) {
+    // The sub's decision may resolve long after this line, triggered by
+    // another client: route it to this connection.  Its decision, if
+    // already made, is in replies and is routed below.
+    id_routes_[*accepted] = conn.fd;
   }
   route_replies(&conn, replies);
 }
 
 void ServeServer::handle_readable(Connection& conn) {
-  char buf[16 * 1024];
-  for (;;) {
-    const ssize_t n = ::read(conn.fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_connection(conn.fd);
-      return;
+  // One read per turn: the rest, if any, comes back on the next turn,
+  // after this turn's replies are committed and written.
+  ssize_t n;
+  do {
+    n = ::read(conn.fd, read_buf_.data(), read_buf_.size());
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) {
+    if (errno != EAGAIN && errno != EWOULDBLOCK) close_connection(conn.fd);
+    return;
+  }
+  const auto on_line = [&](std::string_view line, bool oversized) {
+    feed_line(conn, line, oversized);
+  };
+  if (n == 0) {
+    // Peer half-closed: a final unterminated line still counts (matching
+    // the istream harness's getline semantics).  The connection closes
+    // once its replies are written.
+    conn.splitter.finish(on_line);
+    conn.draining = true;
+    return;
+  }
+  conn.last_activity_ms = steady_ms();
+  const bool had_partial = conn.splitter.has_partial();
+  conn.splitter.feed(
+      std::string_view(read_buf_.data(), static_cast<std::size_t>(n)),
+      on_line);
+  if (conn.splitter.has_partial()) {
+    if (!had_partial || conn.partial_since_ms == 0) {
+      conn.partial_since_ms = conn.last_activity_ms;
     }
-    const int fd = conn.fd;
-    if (n == 0) {
-      // Peer closed: a final unterminated line still counts (matching
-      // the istream harness's getline semantics), then flush replies.
-      conn.splitter.finish([&](std::string_view line, bool oversized) {
-        if (!conn.doomed) feed_line(conn, line, oversized);
-      });
-      const bool evicted = conn.doomed;
-      reap_doomed();
-      if (evicted) return;  // the reap destroyed conn
-      if (conn.outbox.empty()) {
-        close_connection(fd);
-      } else {
-        conn.draining = true;  // flush pending replies first
-      }
-      return;
-    }
-    conn.last_activity_ms = steady_ms();
-    const bool had_partial = conn.splitter.has_partial();
-    // feed_line can doom connections (slow-client backpressure) but
-    // never destroys one while the splitter's feed loop runs — the
-    // splitter lives inside the Connection.  A doomed peer's remaining
-    // lines are dropped; the close happens after the stack unwinds.
-    conn.splitter.feed(std::string_view(buf, static_cast<std::size_t>(n)),
-                       [&](std::string_view line, bool oversized) {
-                         if (!conn.doomed) feed_line(conn, line, oversized);
-                       });
-    const bool evicted = conn.doomed;
-    reap_doomed();
-    if (evicted) return;  // the reap destroyed conn
-    if (conn.splitter.has_partial()) {
-      if (!had_partial || conn.partial_since_ms == 0) {
-        conn.partial_since_ms = conn.last_activity_ms;
-      }
-    } else {
-      conn.partial_since_ms = 0;
-    }
+  } else {
+    conn.partial_since_ms = 0;
   }
 }
 
@@ -462,14 +423,6 @@ void ServeServer::close_connection(int fd) {
   connections_.erase(it);
   // Routes pointing at this client stay: later decisions for its
   // submissions surface as orphaned_replies, which is the honest count.
-}
-
-void ServeServer::reap_doomed() {
-  while (!doomed_fds_.empty()) {
-    const int fd = doomed_fds_.back();
-    doomed_fds_.pop_back();
-    close_connection(fd);
-  }
 }
 
 void ServeServer::enforce_timeouts(std::uint64_t now_ms) {
@@ -501,11 +454,12 @@ void ServeServer::drain(std::ostream& out) {
   // connectors queue against a dead listener instead of racing a
   // rebinding of the port.
   poller_.remove(listen_fd_);
+  // Every connection now only flushes its outbox, then closes.
+  for (auto& [fd, conn] : connections_) conn.draining = true;
 
   std::vector<ServeSession::Reply> replies;
-  session_.finish(replies, &stats_);
+  session_.finish(replies, &stats_);  // journals a checkpoint, durably
   route_replies(nullptr, replies);
-  reap_doomed();  // routing can evict; don't wait on a dead outbox
   for (const ServeSession::Reply& reply : replies) {
     if (reply.kind == ServeSession::ReplyKind::kSummary) out << reply.line;
   }
@@ -515,18 +469,10 @@ void ServeServer::drain(std::ostream& out) {
   const std::uint64_t deadline =
       steady_ms() + static_cast<std::uint64_t>(options_.drain_timeout_ms);
   std::vector<Poller::Event> events;
-  while (steady_ms() < deadline) {
-    bool pending = false;
-    for (const auto& [fd, conn] : connections_) {
-      if (!conn.outbox.empty()) pending = true;
-    }
-    if (!pending) break;
+  for (;;) {
+    flush_outboxes();
+    if (connections_.empty() || steady_ms() >= deadline) break;
     if (!poller_.wait(10, events)) break;
-    for (const Poller::Event& ev : events) {
-      const auto it = connections_.find(ev.fd);
-      if (it == connections_.end()) continue;
-      if (ev.writable || ev.readable || ev.error) handle_writable(it->second);
-    }
   }
   std::vector<int> open_fds;
   for (const auto& [fd, conn] : connections_) open_fds.push_back(fd);
@@ -558,14 +504,14 @@ int ServeServer::run(std::ostream& out) {
         close_connection(ev.fd);
         continue;
       }
-      if (ev.writable) {
-        handle_writable(it->second);
-        if (connections_.find(ev.fd) == connections_.end()) continue;
-      }
+      // Writable connections are served by the write phase below.
       if (ev.readable) handle_readable(it->second);
     }
+    // Group commit: one fsync covers every line this turn fed, and only
+    // then do the turn's replies leave.
+    if (!session_.commit()) { /* counted in the journal's io_errors */ }
+    flush_outboxes();
     enforce_timeouts(steady_ms());
-    session_.on_tick();  // journal flush-interval enforcement
   }
   drain(out);
   return 0;

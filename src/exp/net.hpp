@@ -9,20 +9,32 @@
 // are counted (`orphaned_replies`) and dropped; the admission state
 // they changed stands, exactly as it would have in-stream.
 //
+// Each event-loop turn is one group commit:
+//   1. read at most 64 KiB from every readable connection (poll is
+//      level-triggered, so the rest comes back next turn);
+//   2. feed the complete lines to the session, queueing replies in the
+//      outboxes of the connections they route to;
+//   3. ServeSession::commit() — one fsync covers every line of the turn;
+//   4. one write() per connection with pending reply bytes.
+// A reply therefore never leaves before its journal record is durable,
+// and a burst of lines costs one fsync and one write, not one each.
+// Accepted TCP sockets set TCP_NODELAY: a turn's reply bytes are one
+// write already, and Nagle would hold a second turn's write until the
+// peer's delayed ACK (up to 40 ms).
+//
 // Robustness contract, enforced per connection:
 //   * bounded read buffering — LineSplitter truncates oversized lines,
 //     so a client without newlines cannot grow memory;
-//   * bounded write buffering — a client that stops reading while
-//     decisions accumulate is evicted (slow-client backpressure)
-//     rather than ballooning the server;
+//   * bounded write buffering — a client whose kernel buffer refuses
+//     more than max_write_buffer of a turn's reply bytes is evicted
+//     (slow-client backpressure) rather than ballooning the server;
 //   * idle and partial-line (request) timeouts evict dead peers.
 //
 // Shutdown: request_stop() is async-signal-safe (one write to a
-// self-pipe).  The loop then drains: stops accepting, processes the
-// complete lines already received, flushes write buffers briefly,
-// journals a checkpoint, and emits the summary record on the control
-// stream.  kill -9 is the *other* supported shutdown: the journal
-// replays (see journal.hpp).
+// self-pipe).  The loop then drains: finishes the turn in progress,
+// stops accepting, journals a checkpoint, emits the summary record on
+// the control stream, and flushes write buffers briefly.  kill -9 is
+// the *other* supported shutdown: the journal replays (see journal.hpp).
 #pragma once
 
 #include <cstdint>
@@ -59,7 +71,8 @@ struct ServerOptions {
   std::size_t max_connections = 64;
   /// Per-connection line-assembly bound (LineSplitter truncation).
   std::size_t max_line_bytes = 64 * 1024;
-  /// Eviction threshold for a connection's pending outbound bytes.
+  /// Eviction threshold: reply bytes the kernel refused at the end of
+  /// a turn.  A turn may queue more; only what cannot be written counts.
   std::size_t max_write_buffer = 1 << 20;
   int idle_timeout_ms = 30'000;    ///< no bytes at all from the peer
   int request_timeout_ms = 5'000;  ///< an unfinished line this old
@@ -73,8 +86,8 @@ struct ServerOptions {
 };
 
 /// Minimal readiness shim over poll(2).  Level-triggered (the loop
-/// re-arms write interest only while bytes are pending, so
-/// level-triggered is cheap).
+/// arms write interest only while bytes are pending, and drops read
+/// interest once a peer has half-closed, so level-triggered is cheap).
 class Poller {
  public:
   struct Event {
@@ -84,33 +97,35 @@ class Poller {
     bool error = false;
   };
 
-  /// Watches @p fd for input, and for output too when @p want_write;
-  /// watching an fd again replaces its interest.
-  void watch(int fd, bool want_write) { interest_[fd] = want_write; }
+  /// Watches @p fd for output when @p want_write and for input when
+  /// @p want_read; watching an fd again replaces its interest.  Hangups
+  /// and errors are reported either way.
+  void watch(int fd, bool want_write, bool want_read = true) {
+    interest_[fd] = Interest{want_read, want_write};
+  }
   void remove(int fd) { interest_.erase(fd); }
   /// Blocks up to @p timeout_ms; fills @p events with ready fds.
   /// Returns false on an unrecoverable poll error.
   bool wait(int timeout_ms, std::vector<Event>& events);
 
  private:
-  std::map<int, bool> interest_;  ///< fd -> want_write
+  struct Interest {
+    bool read = true;
+    bool write = false;
+  };
+  std::map<int, Interest> interest_;
 };
 
-/// One accepted client.
+/// One accepted client.  Connections are only closed between the
+/// phases of a turn, never from inside a LineSplitter callback: the
+/// splitter lives here, and its feed() loop may still be running.
 struct Connection {
   int fd = -1;
   LineSplitter splitter{0};
-  std::string outbox;          ///< unsent reply bytes
-  std::size_t sent = 0;        ///< outbox prefix already written
+  std::string outbox;          ///< reply bytes not yet written
   std::uint64_t last_activity_ms = 0;
   std::uint64_t partial_since_ms = 0;  ///< first byte of an unfinished line
-  bool draining = false;       ///< flush outbox, then close
-  /// Evicted while reply routing ran inside this (or another)
-  /// connection's LineSplitter callback stack.  Destroying a Connection
-  /// there would free the splitter whose feed() loop is still running,
-  /// so eviction only marks; reap_doomed() closes once the stack
-  /// unwinds.  A doomed connection accepts no further lines or replies.
-  bool doomed = false;
+  bool draining = false;  ///< half-closed or shutting down: flush, then close
 };
 
 class ServeServer {
@@ -151,16 +166,16 @@ class ServeServer {
  private:
   void accept_clients() SDA_REQUIRES(loop_);
   void handle_readable(Connection& conn) SDA_REQUIRES(loop_);
-  void handle_writable(Connection& conn) SDA_REQUIRES(loop_);
   void feed_line(Connection& conn, std::string_view line, bool oversized)
       SDA_REQUIRES(loop_);
   void route_replies(Connection* origin,
                      const std::vector<ServeSession::Reply>& replies)
       SDA_REQUIRES(loop_);
-  void send_to(Connection& conn, std::string_view bytes) SDA_REQUIRES(loop_);
+  /// The turn's write phase (after the commit): one write() per
+  /// connection with pending bytes, then evicts slow clients, closes
+  /// draining connections whose outbox emptied, and re-arms interest.
+  void flush_outboxes() SDA_REQUIRES(loop_);
   void close_connection(int fd) SDA_REQUIRES(loop_);
-  /// Closes every connection marked doomed during a callback stack.
-  void reap_doomed() SDA_REQUIRES(loop_);
   void enforce_timeouts(std::uint64_t now_ms) SDA_REQUIRES(loop_);
   void drain(std::ostream& out) SDA_REQUIRES(loop_);
 
@@ -181,8 +196,8 @@ class ServeServer {
       SDA_GUARDED_BY(loop_);  ///< fd -> state
   std::map<std::uint64_t, int> id_routes_
       SDA_GUARDED_BY(loop_);  ///< run id -> owning fd
-  std::vector<int> doomed_fds_
-      SDA_GUARDED_BY(loop_);  ///< evicted, close pending
+  std::vector<char> read_buf_
+      SDA_GUARDED_BY(loop_);  ///< one turn's read from one connection
   ServeNetStats stats_ SDA_GUARDED_BY(loop_);
 };
 

@@ -108,7 +108,8 @@ void ServeSession::journal_line(std::string_view text) {
   if (replaying_ || !journal_.is_open()) return;
   // Write-ahead: the record is buffered before the controller mutates,
   // so a journaled-but-unapplied tail at crash time merely replays into
-  // the same state the line would have produced.
+  // the same state the line would have produced.  It is durable at the
+  // next commit(), before any reply it caused leaves the process.
   if (!journal_.append_event(text)) { /* sticky; counted in io_errors */ }
 }
 
@@ -158,19 +159,19 @@ void ServeSession::emit_resolved(
   }
 }
 
-void ServeSession::handle_line(std::string_view text,
-                               std::vector<Reply>& replies) {
+std::optional<std::uint64_t> ServeSession::handle_line(
+    std::string_view text, std::vector<Reply>& replies) {
   util::RoleGuard own(owner_);
-  handle_line_impl(text, replies);
+  return handle_line_impl(text, replies);
 }
 
-void ServeSession::handle_line_impl(std::string_view text,
-                                    std::vector<Reply>& replies) {
+std::optional<std::uint64_t> ServeSession::handle_line_impl(
+    std::string_view text, std::vector<Reply>& replies) {
   const ParsedLine line = parse_serve_line(text, options_.limits);
-  if (line.ignorable) return;
+  if (line.ignorable) return std::nullopt;
   if (line.code != ProtocolErrorCode::kNone) {
     emit_error(replies, line.code, line.has_id, line.id, line.error);
-    return;
+    return std::nullopt;
   }
   // The stream clock is monotonic; a violating line is answered and
   // discarded *without* advancing state — malformed input must leave
@@ -178,14 +179,14 @@ void ServeSession::handle_line_impl(std::string_view text,
   if (line.has_at && line.at < now_) {
     emit_error(replies, ProtocolErrorCode::kClock, line.has_id, line.id,
                "time went backwards (stream clock is monotonic)");
-    return;
+    return std::nullopt;
   }
 
   if (line.verb == "done") {
     if (!line.has_id) {
       emit_error(replies, ProtocolErrorCode::kField, line.has_id, line.id,
                  "done needs id=");
-      return;
+      return std::nullopt;
     }
     const bool is_live = live_.count(line.id) != 0;
     const bool is_pending = pending_.count(line.id) != 0;
@@ -193,7 +194,7 @@ void ServeSession::handle_line_impl(std::string_view text,
       emit_error(replies, ProtocolErrorCode::kUnknownId, true, line.id,
                  "done for unknown or already-retired id " +
                      std::to_string(line.id));
-      return;
+      return std::nullopt;
     }
     journal_line(text);  // state-changing from here on
     if (line.has_at) now_ = line.at;
@@ -212,28 +213,28 @@ void ServeSession::handle_line_impl(std::string_view text,
     // but either way freed capacity or an advanced clock is a retry
     // moment for the queue.
     emit_resolved(replies, controller_.pump(now_));
-    return;
+    return std::nullopt;
   }
   if (line.verb != "sub") {
     emit_error(replies, ProtocolErrorCode::kVerb, line.has_id, line.id,
                "unknown verb '" + line.verb + "'");
-    return;
+    return std::nullopt;
   }
   if (!line.has_id || !line.has_at || !line.has_deadline || !line.has_tree) {
     emit_error(replies, ProtocolErrorCode::kField, line.has_id, line.id,
                "sub needs id=, at=, deadline=, tree=");
-    return;
+    return std::nullopt;
   }
   if (line.deadline <= 0.0) {
     emit_error(replies, ProtocolErrorCode::kField, line.has_id, line.id,
                "deadline must be positive");
-    return;
+    return std::nullopt;
   }
   if (live_.count(line.id) != 0 || pending_.count(line.id) != 0) {
     emit_error(replies, ProtocolErrorCode::kDuplicateId, true, line.id,
                "duplicate id " + std::to_string(line.id) +
                    " (still in flight)");
-    return;
+    return std::nullopt;
   }
   ++result_.submissions;
 
@@ -242,12 +243,12 @@ void ServeSession::handle_line_impl(std::string_view text,
     tree = task::parse_notation(line.tree);
   } catch (const std::exception& e) {
     emit_error(replies, ProtocolErrorCode::kTree, true, line.id, e.what());
-    return;
+    return std::nullopt;
   }
   const std::string invalid = task::validate(*tree);
   if (!invalid.empty()) {
     emit_error(replies, ProtocolErrorCode::kTree, true, line.id, invalid);
-    return;
+    return std::nullopt;
   }
 
   journal_line(text);  // validated: this line now owns its state change
@@ -284,13 +285,12 @@ void ServeSession::handle_line_impl(std::string_view text,
   } else {
     emit_decision(replies, line.id, sr.outcome);
   }
+  return line.id;
 }
 
-void ServeSession::on_tick() {
+bool ServeSession::commit() {
   util::RoleGuard own(owner_);
-  if (journal_.is_open()) {
-    if (!journal_.maybe_flush(Clock::now())) { /* counted in io_errors */ }
-  }
+  return !journal_.is_open() || journal_.flush();
 }
 
 std::uint64_t ServeSession::state_fingerprint() const {
@@ -421,14 +421,24 @@ ServeResult serve_stream(std::istream& in, std::ostream& out,
     out << render_error(ProtocolErrorCode::kIo, false, 0, 0.0, diag);
     return session.result();
   }
+  // Group commit: hold replies while more input is already buffered,
+  // then commit once and write them all.
   std::vector<ServeSession::Reply> replies;
+  const auto commit_and_write = [&] {
+    if (!session.commit()) { /* counted in journal_io_errors */ }
+    for (const ServeSession::Reply& r : replies) out << r.line;
+    out.flush();
+    replies.clear();
+  };
   std::string text;
   while (std::getline(in, text)) {
-    replies.clear();
     session.handle_line(text, replies);
-    for (const ServeSession::Reply& r : replies) out << r.line;
+    if (in.rdbuf()->in_avail() <= 0 ||
+        replies.size() >= options.journal_flush_every) {
+      commit_and_write();
+    }
   }
-  replies.clear();
+  commit_and_write();
   session.finish(replies);
   for (const ServeSession::Reply& r : replies) out << r.line;
   return session.result();

@@ -24,6 +24,11 @@
 //   * journal replay — recovery feeds journaled lines back through the
 //     same code path with emission suppressed (journal.hpp).
 //
+// The transport contract is a group commit: a transport may feed a
+// batch of lines, but it writes a reply only after a commit() that
+// follows the line that produced it.  A reply therefore implies that
+// its journal record is on disk, and one fsync covers the whole batch.
+//
 // Decisions are a pure function of the accepted input lines and the
 // admission config: no RNG, no wall clock, no iteration over unordered
 // containers.  Running the same stream twice — or with the plan cache
@@ -39,6 +44,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -66,8 +72,12 @@ struct ServeOptions {
   /// existing journal at that path is replayed before new input is
   /// accepted (crash recovery), then appended to.
   std::string journal_path;
-  /// fsync batching for the journal.
-  std::size_t journal_flush_every = 32;
+  /// Cap on journal records per fsync.  The transports commit once per
+  /// batch of lines, so the cap only binds on batches larger than this
+  /// (serve_stream also commits when it holds this many replies).
+  std::size_t journal_flush_every = 1024;
+  /// Unused: commit() leaves nothing pending, so there is no timed
+  /// flush.  Kept so existing callers (perfbench/) build.
   int journal_flush_interval_ms = 100;
   /// Replay the journal but do not append (read-only recovery check).
   bool journal_replay_only = false;
@@ -135,15 +145,21 @@ class ServeSession {
   /// Feeds one protocol line (no trailing newline).  Replies — possibly
   /// none (a clean `done`), possibly several (pump resolutions for
   /// earlier-parked ids) — are appended to @p replies in emission order.
-  void handle_line(std::string_view text, std::vector<Reply>& replies);
+  /// Returns the id of a `sub` the session accepted (decided now or
+  /// parked); its decision is among @p replies or comes later.
+  std::optional<std::uint64_t> handle_line(std::string_view text,
+                                           std::vector<Reply>& replies);
+
+  /// Writes and fsyncs every journal record buffered so far.  Replies
+  /// of the lines fed before this call may be sent once it returns.
+  /// Returns false on a journal IO failure (counted in
+  /// journal_io_errors()); a no-op returning true without a journal.
+  bool commit();
 
   /// End of stream / drain: resolves everything still parked, appends a
   /// journal checkpoint, and emits the summary record.  @p net, when
   /// non-null, adds the socket-transport block to the summary.
   void finish(std::vector<Reply>& replies, const ServeNetStats* net = nullptr);
-
-  /// Timer hook for the socket loop: journal flush-interval enforcement.
-  void on_tick();
 
   /// FNV-1a fingerprint of the recoverable session state: controller
   /// fingerprint plus live/pending id sets and the submission/decision
@@ -156,11 +172,6 @@ class ServeSession {
   // every public entry point assumes it, every private helper and every
   // piece of protocol state requires it, so a second thread reaching
   // into the session shows up as a -Wthread-safety error, not a race.
-
-  /// The limits this session parses with.  Transports that pre-parse
-  /// lines (the socket server's decision-route peek) must use these,
-  /// not defaults, so peek and session never diverge.
-  const ProtocolLimits& limits() const noexcept { return options_.limits; }
 
   bool replay_truncated() const noexcept {
     util::RoleGuard own(owner_);
@@ -184,7 +195,8 @@ class ServeSession {
  private:
   /// handle_line/state_fingerprint bodies, shared by the public wrappers
   /// and owner-held internal callers (journal replay, finish).
-  void handle_line_impl(std::string_view text, std::vector<Reply>& replies)
+  std::optional<std::uint64_t> handle_line_impl(std::string_view text,
+                                                std::vector<Reply>& replies)
       SDA_REQUIRES(owner_);
   std::uint64_t fingerprint_impl() const SDA_REQUIRES(owner_);
   void emit_decision(std::vector<Reply>& replies, std::uint64_t id,
@@ -226,6 +238,9 @@ class ServeSession {
 /// record (possibly later in the stream, when the submission was parked
 /// in the retry queue; at the latest from the EOF flush).  The
 /// deterministic harness: byte-identical output across reruns.
+/// Replies are held and written (then @p out flushed) after a commit,
+/// whenever @p in has nothing buffered, `journal_flush_every` replies
+/// are held, or at EOF.
 ServeResult serve_stream(std::istream& in, std::ostream& out,
                          const ServeOptions& options);
 

@@ -486,6 +486,125 @@ TEST(ServeServerLoop, SlowClientIsEvictedMidPipelineWithoutCorruption) {
   EXPECT_EQ(loop.server().stats().evicted_slow, 1u);
 }
 
+TEST(ServeServerLoop, ReadingClientIsNotEvictedForALargeTurn) {
+  // Eviction counts the reply bytes the kernel refused after a turn's
+  // write, not the bytes the turn queued: one burst whose replies exceed
+  // max_write_buffer is fine while the client keeps reading.
+  ServerOptions no = ephemeral_tcp();
+  no.max_write_buffer = 1024;
+  Loop loop(serve_options(), no);
+  ASSERT_TRUE(loop.start());
+  Client client(loop.server().bound_port());
+  ASSERT_TRUE(client.connected());
+  constexpr int kLines = 40;  // ~4.6 KB of replies, one read's worth
+  std::string burst;
+  for (int i = 0; i < kLines; ++i) burst += "done id=55 at=1\n";
+  ASSERT_TRUE(client.send_raw(burst));
+  for (int i = 0; i < kLines; ++i) {
+    ASSERT_NE(client.read_line().find("\"id\":55"), std::string::npos) << i;
+  }
+  ASSERT_TRUE(client.send_line("sub id=1 at=1 deadline=5 tree=a@0:1/1"));
+  EXPECT_NE(client.read_line().find("\"id\":1"), std::string::npos);
+  loop.stop();
+  EXPECT_EQ(loop.server().stats().evicted_slow, 0u);
+}
+
+TEST(ServeServerLoop, HalfClosedClientGetsEveryReplyThenEofPromptly) {
+  // More replies than the socket buffers hold, then a half-close before
+  // reading any: the outbox empties over several turns, and the
+  // connection must close as soon as it does, not at the idle timeout.
+  Loop loop(serve_options(), ephemeral_tcp());
+  ASSERT_TRUE(loop.start());
+  Client client(loop.server().bound_port());
+  ASSERT_TRUE(client.connected());
+  constexpr int kLines = 3000;
+  std::string burst;
+  for (int i = 0; i < kLines; ++i) burst += "done id=55 at=1\n";
+  ASSERT_TRUE(client.send_raw(burst));
+  client.shutdown_write();
+  for (int i = 0; i < kLines; ++i) {
+    ASSERT_NE(client.read_line().find("\"id\":55"), std::string::npos) << i;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(client.read_eof());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  loop.stop();
+  EXPECT_EQ(loop.server().stats().lines, static_cast<std::uint64_t>(kLines));
+}
+
+TEST(ServeServerLoop, TwoLineRoundTripsDoNotWaitForDelayedAcks) {
+  // Each round trip is one write of two lines that the server answers
+  // in two turns: the first line is 64 KiB long (over the transport
+  // limit, so it is answered at once), which fills the turn's read, and
+  // the probe behind it is read next turn.  Two small replies in two
+  // writes: with Nagle on, the second waits for this client's delayed
+  // ACK of the first, about 40 ms a round trip.
+  ServerOptions no = ephemeral_tcp();
+  no.max_line_bytes = 1024;
+  Loop loop(serve_options(), no);
+  ASSERT_TRUE(loop.start());
+  Client client(loop.server().bound_port());  // no socket options
+  ASSERT_TRUE(client.connected());
+  const std::string round_trip =
+      std::string(64 * 1024 - 1, 'x') + "\ndone id=99 at=1\n";
+  constexpr int kRounds = 50;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRounds; ++i) {
+    ASSERT_TRUE(client.send_raw(round_trip));
+    ASSERT_NE(client.read_line().find("\"code\":\"limit\""),
+              std::string::npos);
+    ASSERT_NE(client.read_line().find("\"id\":99"), std::string::npos);
+  }
+  // Nagle-stalled, the rounds take >= 2 s; unstalled, a few ms.
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(1));
+  loop.stop();
+}
+
+TEST(ServeServerLoop, EveryDecisionIsDurableBeforeTheClientSeesIt) {
+  // Default flush settings: whenever the client holds a decision, the
+  // journal file already holds the record of the sub it answers.
+  const std::string wal =
+      "sda_test_net_durable_" + std::to_string(::getpid()) + ".wal";
+  std::remove(wal.c_str());
+  ServeOptions so = serve_options();
+  so.journal_path = wal;
+  Loop loop(so, ephemeral_tcp());
+  ASSERT_TRUE(loop.start());
+  Client client(loop.server().bound_port());
+  ASSERT_TRUE(client.connected());
+  const auto sub = [](int id) {
+    return "sub id=" + std::to_string(id) + " at=" + std::to_string(id) +
+           " deadline=5 tree=a@0:1/1";
+  };
+  const auto journaled = [&](const std::string& line) {
+    for (const exp::JournalRecord& r : exp::read_journal(wal).records) {
+      if (r.payload == line) return true;
+    }
+    return false;
+  };
+  // One at a time, then a pipelined burst answered in one turn.
+  for (int id = 1; id <= 5; ++id) {
+    ASSERT_TRUE(client.send_line(sub(id)));
+    ASSERT_NE(client.read_line().find("\"id\":" + std::to_string(id)),
+              std::string::npos);
+    EXPECT_TRUE(journaled(sub(id))) << id;
+    ASSERT_TRUE(client.send_line("done id=" + std::to_string(id)));
+  }
+  std::string burst;
+  for (int id = 6; id <= 30; ++id) {
+    burst += sub(id) + "\ndone id=" + std::to_string(id) + "\n";
+  }
+  ASSERT_TRUE(client.send_raw(burst));
+  for (int id = 6; id <= 30; ++id) {
+    ASSERT_NE(client.read_line().find("\"id\":" + std::to_string(id)),
+              std::string::npos);
+    EXPECT_TRUE(journaled(sub(id))) << id;
+  }
+  loop.stop();
+  std::remove(wal.c_str());
+}
+
 TEST(ServeServerLoop, ReplayRecoveredDecisionIsOrphanedNotMisrouted) {
   // Submissions recovered by journal replay have no connection route in
   // the new process.  When another client's `done` pumps such a parked

@@ -8,10 +8,14 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <set>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/exp/journal.hpp"
 
 namespace {
 
@@ -347,6 +351,114 @@ TEST(Serve, JournalSummaryBlockReportsRecordsAndFingerprint) {
   exp::serve_stream(in, out, o);
   EXPECT_NE(out.str().find("\"journal\":{\"records\":"), std::string::npos);
   EXPECT_NE(out.str().find("\"fingerprint\":\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+/// Input that arrives one line at a time, like a pipe whose writer
+/// waits for each reply: nothing more is buffered after every line.
+class LineAtATime : public std::streambuf {
+ public:
+  explicit LineAtATime(std::vector<std::string> lines)
+      : lines_(std::move(lines)) {}
+
+ protected:
+  int_type underflow() override {
+    if (next_ == lines_.size()) return traits_type::eof();
+    current_ = lines_[next_++] + "\n";
+    setg(current_.data(), current_.data(), current_.data() + current_.size());
+    return traits_type::to_int_type(current_[0]);
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  std::size_t next_ = 0;
+  std::string current_;
+};
+
+/// Output that, at every decision it receives, checks that the journal
+/// file already holds the record of the sub the decision answers.
+class DurabilityCheck : public std::streambuf {
+ public:
+  explicit DurabilityCheck(std::string journal) : journal_(std::move(journal)) {}
+
+  std::size_t decisions = 0;
+  std::vector<std::string> not_durable;  ///< decisions seen too early
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (c != traits_type::eof()) on_byte(traits_type::to_char_type(c));
+    return traits_type::not_eof(c);
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    for (std::streamsize i = 0; i < n; ++i) on_byte(s[i]);
+    return n;
+  }
+
+ private:
+  void on_byte(char c) {
+    if (c != '\n') {
+      line_.push_back(c);
+      return;
+    }
+    const std::string prefix = "{\"schema\":\"sda.admit.v1\",\"id\":";
+    if (line_.rfind(prefix, 0) == 0) {
+      ++decisions;
+      const std::size_t first = prefix.size();
+      const std::string id =
+          line_.substr(first, line_.find(',', first) - first);
+      if (!journaled(id)) {
+        // The file may have grown since the last read.
+        durable_.clear();
+        for (const exp::JournalRecord& r : exp::read_journal(journal_).records) {
+          if (r.payload.rfind("sub id=", 0) != 0) continue;
+          durable_.insert(r.payload.substr(7, r.payload.find(' ', 7) - 7));
+        }
+        if (!journaled(id)) not_durable.push_back(id);
+      }
+    }
+    line_.clear();
+  }
+  bool journaled(const std::string& id) const {
+    return durable_.count(id) != 0;
+  }
+
+  std::string journal_;
+  std::string line_;
+  std::set<std::string> durable_;  ///< sub ids in the last journal read
+};
+
+TEST(Serve, EveryDecisionIsDurableBeforeItIsWritten) {
+  // Default flush settings.  Two inputs: a stream with everything
+  // buffered (replies held up to the journal_flush_every cap) and one
+  // that delivers a line at a time (replies go out after every line).
+  const std::string path =
+      "sda_test_serve_durable_" + std::to_string(::getpid()) + ".wal";
+  exp::ServeOptions o = options();
+  o.journal_path = path;
+  std::vector<std::string> input;
+  for (int id = 1; id <= 1500; ++id) {
+    input.push_back("sub id=" + std::to_string(id) + " at=" +
+                    std::to_string(id) + " deadline=5 tree=a@0:1/1");
+    input.push_back("done id=" + std::to_string(id));
+  }
+  std::string text;
+  for (const std::string& line : input) text += line + "\n";
+
+  std::istringstream buffered(text);
+  LineAtATime trickle_buf(std::vector<std::string>(input.begin(),
+                                                   input.begin() + 40));
+  std::istream trickle(&trickle_buf);
+  for (std::istream* in : {static_cast<std::istream*>(&buffered), &trickle}) {
+    std::remove(path.c_str());
+    DurabilityCheck check(path);
+    std::ostream out(&check);
+    const exp::ServeResult r = exp::serve_stream(*in, out, o);
+    EXPECT_EQ(check.decisions, r.decisions);
+    EXPECT_GT(check.decisions, 0u);
+    EXPECT_TRUE(check.not_durable.empty())
+        << check.not_durable.size() << " decisions written before their "
+        << "record was durable, first id " << check.not_durable.front();
+  }
   std::remove(path.c_str());
 }
 

@@ -83,7 +83,8 @@ int usage(const char* argv0, int code) {
       "                     or unix:/path; SIGTERM drains gracefully\n"
       "  --journal <path>   serve mode: write-ahead sda.journal.v1 log of\n"
       "                     accepted lines; replayed on restart (recovery)\n"
-      "  --journal-flush-every <n>  records per fsync batch (default 32)\n"
+      "  --journal-flush-every <n>  cap on records per fsync (default %zu;\n"
+      "                     replies wait for the fsync of their record)\n"
       "  --recover-check <path>     replay a journal read-only and print\n"
       "                     the reconstructed state (sda.recover.v1)\n"
       "  --decision-deadline-us <n> serve mode: decisions slower than this\n"
@@ -97,7 +98,7 @@ int usage(const char* argv0, int code) {
       "  --list-strategies  print registered PSP and SSP strategies\n"
       "  --validate-only    check the config and exit (0 = valid)\n"
       "  -h, --help         this text\n",
-      argv0);
+      argv0, exp::ServeOptions{}.journal_flush_every);
   return code;
 }
 
@@ -271,7 +272,7 @@ int main(int argc, char** argv) {
   std::string listen_arg;
   std::string journal_path;
   std::string recover_path;
-  std::size_t journal_flush_every = 32;
+  std::size_t journal_flush_every = exp::ServeOptions{}.journal_flush_every;
   std::uint64_t decision_deadline_us = 0;
   bool retry_hints = false;
   bool list_keys = false;
@@ -383,7 +384,12 @@ int main(int argc, char** argv) {
     if (!listen_arg.empty()) return serve_listen(listen_arg, opts);
     std::ifstream input_file;
     std::istream* in = &std::cin;
-    if (!input_path.empty()) {
+    if (input_path.empty()) {
+      // Unsynced stdin is buffered, so serve_stream can see whether more
+      // input is already waiting and group-commit it (stdout is only
+      // written through std::cout from here on).
+      std::ios::sync_with_stdio(false);
+    } else {
       input_file.open(input_path);
       if (!input_file) {
         std::fprintf(stderr, "cannot open %s\n", input_path.c_str());
