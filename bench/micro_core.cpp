@@ -14,6 +14,7 @@
 #include <cstring>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "src/core/admission.hpp"
 #include "src/exp/net.hpp"
@@ -233,11 +234,10 @@ void BM_ProcessManagerSubmitDrain(benchmark::State& state) {
 BENCHMARK(BM_ProcessManagerSubmitDrain);
 
 void BM_AdmissionDecision(benchmark::State& state) {
-  // The serve path's hot loop: one full admission decision (plan lookup +
-  // feasibility battery + state machine) against a warm ledger, with the
-  // plan cache hitting on repeated tree shapes.  Per-call latency is
-  // tracked through metrics/percentile and exported as counters so the
-  // scorecard can watch tail latency, not just the mean.
+  // The serve path's hot loop: one full admission decision (plan walk +
+  // feasibility battery + state machine) against a warm ledger.  Per-call
+  // latency is tracked through metrics/percentile and exported as
+  // counters so the scorecard can watch tail latency, not just the mean.
   core::AdmissionConfig ac;
   ac.node_count = 8;
   core::AdmissionController controller(ac);
@@ -271,8 +271,6 @@ void BM_AdmissionDecision(benchmark::State& state) {
   const metrics::Quantiles q = metrics::summarize(latency_ns);
   state.counters["assign_p50_ns"] = q.p50;
   state.counters["assign_p99_ns"] = q.p99;
-  state.counters["cache_hits"] =
-      static_cast<double>(controller.cache_stats().hits);
 }
 BENCHMARK(BM_AdmissionDecision);
 
@@ -314,6 +312,70 @@ void BM_ServeStream(benchmark::State& state) {
   state.counters["decisions_per_stream"] = static_cast<double>(decisions);
 }
 BENCHMARK(BM_ServeStream);
+
+/// A seeded in-process --serve stream for BM_ServeSessionHandleLine:
+/// small parallel trees on 16 nodes at about twice their capacity, so the
+/// retry queue stays non-empty and pump() retries its head on nearly every
+/// line, plus whole-run and `leaf=` completions of earlier submissions.
+std::vector<std::string> session_script(std::uint64_t seed, int subs) {
+  util::Rng rng(seed);
+  std::vector<std::string> script;
+  double at = 0.0;
+  for (int i = 1; i <= subs; ++i) {
+    at += rng.exponential(0.04);
+    std::ostringstream line;
+    line << "sub id=" << i << " at=" << at
+         << " deadline=" << rng.uniform(1.5, 6.0) << " tree=[";
+    const int leaves = static_cast<int>(rng.uniform_int(2, 3));
+    for (int l = 0; l < leaves; ++l) {
+      const double demand = rng.uniform(0.2, 0.9);
+      line << (l == 0 ? "" : " || ") << static_cast<char>('A' + l) << '@'
+           << rng.uniform_int(0, 15) << ':' << demand << '/' << demand;
+    }
+    line << ']';
+    script.push_back(line.str());
+    if (i > 16 && rng.uniform01() < 0.6) {
+      const std::int64_t id = rng.uniform_int(i - 16, i - 1);
+      script.push_back("done id=" + std::to_string(id) +
+                       (rng.uniform01() < 0.25 ? " leaf=0" : ""));
+    }
+  }
+  return script;
+}
+
+void BM_ServeSessionHandleLine(benchmark::State& state) {
+  // The session layer alone: parse, plan, feasibility, reply rendering;
+  // journal off, no transport.  One fresh session per pass over the
+  // stream; its construction is outside the ns_per_line timer.
+  const std::vector<std::string> script = session_script(16, 2000);
+  exp::ServeOptions opts;
+  opts.admission.node_count = 16;
+  using Clock = std::chrono::steady_clock;
+  double ns = 0.0;
+  std::uint64_t lines = 0;
+  std::uint64_t parked = 0;
+  std::vector<exp::ServeSession::Reply> replies;
+  for (auto _ : state) {
+    exp::ServeSession session(opts);
+    const Clock::time_point t0 = Clock::now();
+    for (const std::string& line : script) {
+      replies.clear();
+      session.handle_line(line, replies);
+    }
+    ns += static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             t0)
+            .count());
+    lines += script.size();
+    parked = session.controller().stats().queued;
+    benchmark::DoNotOptimize(replies.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(lines));
+  state.counters["ns_per_line"] =
+      lines > 0 ? ns / static_cast<double>(lines) : 0.0;
+  state.counters["parked_per_pass"] = static_cast<double>(parked);
+}
+BENCHMARK(BM_ServeSessionHandleLine);
 
 /// One BM_ServeSocket* iteration loop; @p journal_path empty = no journal.
 void serve_socket(benchmark::State& state, const std::string& journal_path) {

@@ -38,15 +38,15 @@ ctest --preset asan-ubsan "$@"
 SDA_VALIDATE=1 ctest --preset asan-ubsan "$@"
 
 # --- admission-control overload soak under ASan ---------------------------
-# The overload paths churn ledgers, the plan cache's LRU list, the retry
-# queue, and retry-timer cancellation — exactly the object lifetimes ASan
-# is for.  Two legs: a sustained 3x bursty overload through the simulator
+# The overload paths churn ledgers, the controller's reused scratch
+# buffers, the retry queue, and retry-timer cancellation — exactly the
+# object lifetimes ASan is for.  Two legs: a sustained 3x bursty overload through the simulator
 # gate, and a serve-mode stream that thrashes queue/pump/flush.
 echo "== admission overload soak (asan) =="
 ASAN_BUILD=build-asan
 "$ASAN_BUILD/tools/sda_run" admission=1 load=3.0 frac_local=0 \
   preemptive=1 global_burst_factor=4 global_burst_cycle=40 \
-  admission_plan_cache_capacity=8 sim_time=20000 reps=2 > /dev/null
+  sim_time=20000 reps=2 > /dev/null
 
 SOAK_INPUT=$(mktemp /tmp/sda_soak.XXXXXX)
 trap 'rm -f "$SOAK_INPUT"' EXIT

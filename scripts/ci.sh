@@ -183,6 +183,9 @@ for dec in decisions:
                                "backpressure"), dec
     if dec["decision"].startswith("admit"):
         assert dec.get("leaves"), "admitted decision without a plan"
+    # The plan cache is gone: no decision may still carry its flag.
+    assert "cache_hit" not in dec, f"stale cache_hit member: {dec}"
+assert "plan_cache" not in summary, f"stale plan_cache block: {summary}"
 resolved = (summary["admitted"] + summary["admitted_degraded"] +
             summary["rejected"] + summary["shed"] + summary["backpressure"])
 assert resolved == n_subs, summary

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -38,48 +39,53 @@ bool utilization_test(const std::vector<LedgerJob>& jobs, double now,
   return density <= bound + kEps;
 }
 
-bool completion_time_test(const std::vector<LedgerJob>& jobs, double now) {
-  const std::size_t n = jobs.size();
-  std::vector<double> remaining(n), release(n);
-  std::vector<char> finished(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    remaining[i] = jobs[i].demand;
-    release[i] = std::max(jobs[i].release, now);
-    if (remaining[i] <= 0.0) finished[i] = 1;
-  }
-  std::size_t done = static_cast<std::size_t>(
-      std::count(finished.begin(), finished.end(), char{1}));
+namespace {
+
+/// The completion-time walk, consuming @p jobs: releases are clamped to
+/// @p now, demand is spent as remaining work, and a finished job is
+/// erased in place.  Erasing keeps the survivors' order, so ties on the
+/// deadline go to the earliest job in ledger order.
+bool completion_time_walk(std::vector<LedgerJob>& jobs, double now) {
+  std::erase_if(jobs, [](const LedgerJob& j) { return j.demand <= 0.0; });
+  for (LedgerJob& j : jobs) j.release = std::max(j.release, now);
 
   double t = now;
-  while (done < n) {
-    // Earliest deadline among released unfinished jobs runs; track the
-    // next release so a future arrival can preempt it.
+  while (!jobs.empty()) {
+    // Earliest deadline among released jobs runs; track the next release
+    // so a future arrival can preempt it.
+    const std::size_t n = jobs.size();
     std::size_t best = n;
     double next_release = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < n; ++i) {
-      if (finished[i]) continue;
-      if (release[i] <= t + kEps) {
+      if (jobs[i].release <= t + kEps) {
         if (best == n || jobs[i].deadline < jobs[best].deadline) best = i;
       } else {
-        next_release = std::min(next_release, release[i]);
+        next_release = std::min(next_release, jobs[i].release);
       }
     }
     if (best == n) {  // idle until the next release
       t = next_release;
       continue;
     }
-    const double completion = t + remaining[best];
+    LedgerJob& job = jobs[best];
+    const double completion = t + job.demand;
     if (next_release < completion) {
-      remaining[best] -= next_release - t;
+      job.demand -= next_release - t;
       t = next_release;
       continue;
     }
     t = completion;
-    if (t > jobs[best].deadline + kEps) return false;
-    finished[best] = 1;
-    ++done;
+    if (t > job.deadline + kEps) return false;
+    jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(best));
   }
   return true;
+}
+
+}  // namespace
+
+bool completion_time_test(const std::vector<LedgerJob>& jobs, double now) {
+  std::vector<LedgerJob> work = jobs;
+  return completion_time_walk(work, now);
 }
 
 const char* to_string(AdmissionDecision d) noexcept {
@@ -131,9 +137,6 @@ AdmissionController::AdmissionController(AdmissionConfig config)
   }
   psp_ = make_psp_strategy(config_.psp);
   ssp_ = make_ssp_strategy(config_.ssp);
-  if (config_.plan_cache) {
-    cache_ = std::make_unique<PlanCache>(config_.plan_cache_capacity);
-  }
   ledgers_.resize(static_cast<std::size_t>(config_.node_count));
 }
 
@@ -142,11 +145,6 @@ std::size_t AdmissionController::ledger_size() const noexcept {
   std::size_t total = 0;
   for (const auto& ledger : ledgers_) total += ledger.size();
   return total;
-}
-
-PlanCache::Stats AdmissionController::cache_stats() const noexcept {
-  util::RoleGuard own(owner_);
-  return cache_ ? cache_->stats() : PlanCache::Stats{};
 }
 
 double AdmissionController::raw_pressure() const {
@@ -208,68 +206,51 @@ void AdmissionController::refresh(double now) {
 void AdmissionController::plan_candidate(const task::TreeNode& tree,
                                          double now, double deadline,
                                          std::uint64_t ticket,
-                                         std::vector<LedgerJob>& jobs,
-                                         std::vector<int>& sites,
-                                         std::vector<PlanEntry>& plan,
-                                         bool* cache_hit) {
-  // Both cache paths evaluate the same normalized computation, so the
-  // shifted absolute times below are bit-identical either way.
-  const double rel_deadline = deadline - now;
-  NormalizedPlan fresh;
-  const NormalizedPlan* normalized = nullptr;
-  if (cache_ != nullptr) {
-    normalized =
-        &cache_->lookup_or_compute(tree, rel_deadline, *psp_, *ssp_, cache_hit);
-  } else {
-    fresh = compute_normalized_plan(tree, rel_deadline, *psp_, *ssp_);
-    normalized = &fresh;
-    if (cache_hit != nullptr) *cache_hit = false;
-  }
-
-  const std::vector<const task::TreeNode*> leaves = task::leaves(tree);
-  jobs.clear();
-  sites.clear();
+                                         std::vector<PlanEntry>& plan) {
+  // The walk runs in normalized time (arrival 0, deadline relative) and
+  // is shifted by now; the ledger windows are defined by this arithmetic.
+  plan_assignment(tree, 0.0, deadline - now, *psp_, *ssp_, assignments_);
+  jobs_.clear();
+  sites_.clear();
   plan.clear();
-  jobs.reserve(leaves.size());
-  sites.reserve(leaves.size());
-  plan.reserve(leaves.size());
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    const task::TreeNode* leaf = leaves[i];
-    const NormalizedLeaf& a = (*normalized)[i];
+  plan.reserve(assignments_.size());
+  for (std::size_t i = 0; i < assignments_.size(); ++i) {
+    const LeafAssignment& a = assignments_[i];
+    const int site = a.leaf->exec_node;
     LedgerJob job;
     job.ticket = ticket;
     job.leaf = static_cast<std::uint32_t>(i);
     job.release = now + a.planned_dispatch;
     job.deadline = now + a.virtual_deadline;
-    job.demand = leaf->pred_exec;
-    jobs.push_back(job);
-    sites.push_back(leaf->exec_node);
-    plan.push_back({leaf->exec_node, job.release, job.deadline});
-    if (leaf->exec_node >= static_cast<int>(ledgers_.size())) {
-      ledgers_.resize(static_cast<std::size_t>(leaf->exec_node) + 1);
+    job.demand = a.leaf->pred_exec;
+    jobs_.push_back(job);
+    sites_.push_back(site);
+    plan.push_back({site, job.release, job.deadline});
+    if (site >= static_cast<int>(ledgers_.size())) {
+      ledgers_.resize(static_cast<std::size_t>(site) + 1);
     }
   }
 }
 
-bool AdmissionController::feasible_with(const std::vector<LedgerJob>& candidate,
-                                        const std::vector<int>& sites,
-                                        double now) const {
-  std::vector<int> distinct = sites;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
+bool AdmissionController::feasible_with(double now) {
+  distinct_sites_.assign(sites_.begin(), sites_.end());
+  std::sort(distinct_sites_.begin(), distinct_sites_.end());
+  distinct_sites_.erase(
+      std::unique(distinct_sites_.begin(), distinct_sites_.end()),
+      distinct_sites_.end());
 
   const double bound = state_ == OverloadState::kShedding
                            ? config_.util_bound * (1.0 - config_.shed_headroom)
                            : config_.util_bound;
-  std::vector<LedgerJob> merged;
-  for (const int site : distinct) {
-    merged = ledgers_[static_cast<std::size_t>(site)];
-    for (std::size_t i = 0; i < candidate.size(); ++i) {
-      if (sites[i] == site) merged.push_back(candidate[i]);
+  for (const int site : distinct_sites_) {
+    const std::vector<LedgerJob>& ledger =
+        ledgers_[static_cast<std::size_t>(site)];
+    merged_.assign(ledger.begin(), ledger.end());
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+      if (sites_[i] == site) merged_.push_back(jobs_[i]);
     }
-    if (!utilization_test(merged, now, bound) ||
-        !completion_time_test(merged, now)) {
+    if (!utilization_test(merged_, now, bound) ||
+        !completion_time_walk(merged_, now)) {
       return false;
     }
   }
@@ -284,18 +265,14 @@ AdmissionOutcome AdmissionController::try_admit(const task::TreeNode& tree,
   out.pressure = pressure_;
   out.deadline = deadline;
 
-  std::vector<LedgerJob> jobs;
-  std::vector<int> sites;
-
   auto attempt = [&](double eff_deadline) {
-    plan_candidate(tree, now, eff_deadline, ticket, jobs, sites, out.plan,
-                   &out.cache_hit);
-    if (!feasible_with(jobs, sites, now)) {
+    plan_candidate(tree, now, eff_deadline, ticket, out.plan);
+    if (!feasible_with(now)) {
       out.plan.clear();
       return false;
     }
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      ledgers_[static_cast<std::size_t>(sites[i])].push_back(jobs[i]);
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+      ledgers_[static_cast<std::size_t>(sites_[i])].push_back(jobs_[i]);
     }
     out.deadline = eff_deadline;
     if (invariants::enabled()) {
@@ -496,6 +473,31 @@ void AdmissionController::trip_shedding() {
   }
 }
 
+namespace {
+
+/// Mixes an exact, prefix-free encoding of @p t into @p h: per node a
+/// kind byte, then the exec node and pex bits (leaf) or the child count
+/// and the children (composite), so distinct trees feed distinct bytes.
+void mix_tree(std::uint64_t& h, const task::TreeNode& t) {
+  switch (t.kind) {
+    case task::TreeNode::Kind::Leaf:
+      util::fnv1a_mix_value(h, 'L');
+      util::fnv1a_mix_value(h, static_cast<std::uint32_t>(t.exec_node));
+      util::fnv1a_mix_value(h, t.pred_exec);
+      return;
+    case task::TreeNode::Kind::Serial:
+      util::fnv1a_mix_value(h, 'S');
+      break;
+    case task::TreeNode::Kind::Parallel:
+      util::fnv1a_mix_value(h, 'P');
+      break;
+  }
+  util::fnv1a_mix_value(h, static_cast<std::uint32_t>(t.children.size()));
+  for (const auto& child : t.children) mix_tree(h, *child);
+}
+
+}  // namespace
+
 std::uint64_t AdmissionController::fingerprint() const {
   util::RoleGuard own(owner_);
   std::uint64_t h = util::kFnvOffsetBasis;
@@ -517,10 +519,8 @@ std::uint64_t AdmissionController::fingerprint() const {
   for (const Pending& p : queue_) {
     util::fnv1a_mix_value(h, p.ticket);
     util::fnv1a_mix_value(h, p.deadline);
-    // Exact byte serialization of the parked tree — the same encoding
-    // the plan cache keys on, so distinct trees never hash alike.
-    const std::string key = plan_cache_key(*p.tree, p.deadline);
-    util::fnv1a_mix(h, key.data(), key.size());
+    mix_tree(h, *p.tree);
+    util::fnv1a_mix_value(h, p.deadline);
   }
   util::fnv1a_mix_value(h, stats_.submitted);
   util::fnv1a_mix_value(h, stats_.admitted);

@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/plan_cache.hpp"
+#include "src/core/sda.hpp"
 #include "src/core/strategy.hpp"
 #include "src/task/tree.hpp"
 #include "src/util/mutex.hpp"
@@ -105,10 +105,18 @@ struct AdmissionConfig {
 
   // Bounded deferred-retry queue (serve mode; submit()/pump()).
   std::size_t queue_capacity = 64;
+};
 
-  // SDA plan cache.
-  bool plan_cache = true;
-  std::size_t plan_cache_capacity = 512;
+/// Counters of the deleted SDA plan cache.  Every plan is now computed
+/// fresh, so AdmissionController::cache_stats() always returns zeros.
+/// Kept only so perfbench/ builds until the benchmark drops its
+/// core.plan_cache.* metrics.
+struct PlanCache {
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+  };
 };
 
 struct AdmissionStats {
@@ -144,9 +152,8 @@ struct AdmissionOutcome {
   double pressure = 0.0;     ///< smoothed pressure at decision time
   double deadline = 0.0;     ///< effective absolute deadline (stretched
                              ///< when kAdmitDegraded; else as submitted)
-  bool cache_hit = false;
   /// Absolute per-leaf assignments (DFS leaf order); empty unless
-  /// admitted.  Bit-identical with the plan cache on or off.
+  /// admitted.
   std::vector<PlanEntry> plan;
 };
 
@@ -228,7 +235,8 @@ class AdmissionController {
     util::RoleGuard own(owner_);
     return stats_;
   }
-  PlanCache::Stats cache_stats() const noexcept;
+  /// Always zero: see PlanCache.
+  PlanCache::Stats cache_stats() const noexcept { return {}; }
   const AdmissionConfig& config() const noexcept { return config_; }
 
  private:
@@ -248,17 +256,15 @@ class AdmissionController {
   AdmissionOutcome try_admit(const task::TreeNode& tree, double now,
                              double deadline, std::uint64_t ticket)
       SDA_REQUIRES(owner_);
-  /// Runs the density bound and the completion-time walk with the
-  /// candidate jobs merged into their nodes' ledgers.
-  bool feasible_with(const std::vector<LedgerJob>& candidate,
-                     const std::vector<int>& sites, double now) const
-      SDA_REQUIRES(owner_);
-  /// Builds the candidate's per-leaf jobs from the (cached) plan.
+  /// Runs the density bound and the completion-time walk on every node
+  /// the candidate (jobs_, sites_) touches, its jobs merged into that
+  /// node's ledger.
+  bool feasible_with(double now) SDA_REQUIRES(owner_);
+  /// Plans the candidate and fills jobs_, sites_ and @p plan with its
+  /// per-leaf jobs, exec nodes and absolute assignments.
   void plan_candidate(const task::TreeNode& tree, double now,
                       double deadline, std::uint64_t ticket,
-                      std::vector<LedgerJob>& jobs, std::vector<int>& sites,
-                      std::vector<PlanEntry>& plan, bool* cache_hit)
-      SDA_REQUIRES(owner_);
+                      std::vector<PlanEntry>& plan) SDA_REQUIRES(owner_);
 
   /// Single-owner role: the controller is driven by exactly one thread
   /// (the simulation's control lane or the serve session).  The retry
@@ -271,16 +277,21 @@ class AdmissionController {
   AdmissionConfig config_;
   std::unique_ptr<PspStrategy> psp_;
   std::unique_ptr<SspStrategy> ssp_;
-  /// Null when plan_cache is off; pointee mutated on every planned
-  /// submission.
-  std::unique_ptr<PlanCache> cache_ SDA_GUARDED_BY(owner_)
-      SDA_PT_GUARDED_BY(owner_);
   std::vector<std::vector<LedgerJob>> ledgers_
       SDA_GUARDED_BY(owner_);  ///< indexed by exec node
   std::deque<Pending> queue_ SDA_GUARDED_BY(owner_);
   OverloadState state_ SDA_GUARDED_BY(owner_) = OverloadState::kNormal;
   double pressure_ SDA_GUARDED_BY(owner_) = 0.0;
   AdmissionStats stats_ SDA_GUARDED_BY(owner_);
+
+  // Per-attempt scratch, reused so that a warm controller plans and tests
+  // a candidate without allocating.
+  std::vector<LeafAssignment> assignments_ SDA_GUARDED_BY(owner_);
+  std::vector<LedgerJob> jobs_ SDA_GUARDED_BY(owner_);  ///< one per leaf
+  std::vector<int> sites_ SDA_GUARDED_BY(owner_);       ///< node per job
+  std::vector<int> distinct_sites_ SDA_GUARDED_BY(owner_);
+  /// One node's ledger plus the candidate's jobs there.
+  std::vector<LedgerJob> merged_ SDA_GUARDED_BY(owner_);
 };
 
 }  // namespace sda::core

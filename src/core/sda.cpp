@@ -106,10 +106,9 @@ void walk_flat(const task::FlatTree& ft, std::uint32_t s, Time dispatch,
 }
 }  // namespace
 
-std::vector<LeafAssignment> plan_assignment(const TreeNode& tree, Time arrival,
-                                            Time deadline,
-                                            const PspStrategy& psp,
-                                            const SspStrategy& ssp) {
+void plan_assignment(const TreeNode& tree, Time arrival, Time deadline,
+                     const PspStrategy& psp, const SspStrategy& ssp,
+                     std::vector<LeafAssignment>& out) {
   // One flat build per walk, reused across calls on this thread: the plan
   // walk then reads precomputed critical paths off contiguous arrays
   // instead of re-walking every subtree per stage (the old quadratic-ish
@@ -117,9 +116,17 @@ std::vector<LeafAssignment> plan_assignment(const TreeNode& tree, Time arrival,
   thread_local task::FlatTree flat;
   thread_local SspContext scratch;
   flat.build(tree);
-  std::vector<LeafAssignment> out;
+  out.clear();
   out.reserve(static_cast<std::size_t>(flat.leaf_count()));
   walk_flat(flat, 0, arrival, deadline, psp, ssp, scratch, out);
+}
+
+std::vector<LeafAssignment> plan_assignment(const TreeNode& tree, Time arrival,
+                                            Time deadline,
+                                            const PspStrategy& psp,
+                                            const SspStrategy& ssp) {
+  std::vector<LeafAssignment> out;
+  plan_assignment(tree, arrival, deadline, psp, ssp, out);
   return out;
 }
 

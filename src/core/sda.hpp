@@ -81,4 +81,10 @@ std::vector<LeafAssignment> plan_assignment(const task::TreeNode& tree,
                                             const PspStrategy& psp,
                                             const SspStrategy& ssp);
 
+/// plan_assignment into @p out (cleared first), reusing its capacity:
+/// the admission controller plans every attempt this way.
+void plan_assignment(const task::TreeNode& tree, Time arrival, Time deadline,
+                     const PspStrategy& psp, const SspStrategy& ssp,
+                     std::vector<LeafAssignment>& out);
+
 }  // namespace sda::core

@@ -46,11 +46,6 @@ core::AdmissionConfig ExperimentConfig::admission_config() const {
   a.pressure_alpha = admission_pressure_alpha;
   a.degrade_stretch = admission_degrade_stretch;
   a.shed_headroom = admission_shed_headroom;
-  a.plan_cache = admission_plan_cache;
-  a.plan_cache_capacity =
-      static_cast<std::size_t>(admission_plan_cache_capacity < 0
-                                   ? 0
-                                   : admission_plan_cache_capacity);
   return a;
 }
 

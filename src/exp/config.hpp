@@ -163,9 +163,6 @@ struct ExperimentConfig {
   /// Shedding state: admit only candidates that keep the worst node below
   /// util_bound * (1 - headroom).
   double admission_shed_headroom = 0.15;
-  /// SDA plan cache (normalized-time plans; bit-identical on/off).
-  bool admission_plan_cache = true;
-  int admission_plan_cache_capacity = 512;
 
   /// Global-arrival burstiness (interrupted Poisson, like the local
   /// knobs): 1 = the paper's pure Poisson, unchanged mean load.  The

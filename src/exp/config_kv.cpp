@@ -265,8 +265,6 @@ const std::vector<Field>& fields() {
       SDA_KV_DOUBLE(admission_pressure_alpha),
       SDA_KV_DOUBLE(admission_degrade_stretch),
       SDA_KV_DOUBLE(admission_shed_headroom),
-      SDA_KV_BOOL(admission_plan_cache),
-      SDA_KV_INT(admission_plan_cache_capacity),
       SDA_KV_DOUBLE(global_burst_factor),
       SDA_KV_DOUBLE(global_burst_cycle),
       // --- parallel execution ---------------------------------------------

@@ -6,7 +6,7 @@
 // state-changing* protocol line (`sub` after tree validation, `done`
 // for a known run), in application order.  Replaying the journal
 // through a fresh ServeSession reconstructs ledgers, retry queue,
-// overload state, pressure EWMA, and plan cache bit-identically
+// overload state, and pressure EWMA bit-identically
 // (tests/test_crash_recovery.cpp proves this against kill -9).
 // Malformed lines are answered but never journaled: they change no
 // admission state.

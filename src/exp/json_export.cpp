@@ -84,7 +84,8 @@ void config_member(JsonWriter& w, const ExperimentConfig& config) {
 void write_run_json_line(const ExperimentConfig& config, int rep,
                          std::uint64_t seed, std::uint64_t fingerprint,
                          const RunResult& result, std::ostream& os) {
-  JsonWriter w(os);
+  std::string line;
+  JsonWriter w(line);
   w.begin_object();
   w.kv("schema", "sda.run.v1");
   w.kv("rep", rep);
@@ -124,11 +125,6 @@ void write_run_json_line(const ExperimentConfig& config, int rep,
     w.kv("to_degraded", result.admission.to_degraded);
     w.kv("to_shedding", result.admission.to_shedding);
     w.kv("to_normal", result.admission.to_normal);
-    w.end_object();
-    w.key("plan_cache").begin_object();
-    w.kv("hits", result.plan_cache.hits);
-    w.kv("misses", result.plan_cache.misses);
-    w.kv("evictions", result.plan_cache.evictions);
     w.end_object();
     w.end_object();
   }
@@ -180,14 +176,16 @@ void write_run_json_line(const ExperimentConfig& config, int rep,
   }
 
   w.end_object();
-  os << '\n';
+  line += '\n';
+  os << line;
 }
 
 void write_report_json_line(
     const ExperimentConfig& config, const metrics::Report& report,
     const std::vector<std::uint64_t>& fingerprints,
     const metrics::Collector* merged_distributions, std::ostream& os) {
-  JsonWriter w(os);
+  std::string line;
+  JsonWriter w(line);
   w.begin_object();
   w.kv("schema", "sda.report.v1");
   w.kv("replications", static_cast<std::uint64_t>(report.replications()));
@@ -223,7 +221,8 @@ void write_report_json_line(
   }
 
   w.end_object();
-  os << '\n';
+  line += '\n';
+  os << line;
 }
 
 }  // namespace sda::exp

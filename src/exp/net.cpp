@@ -15,7 +15,6 @@
 #include <cstring>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "src/metrics/json_writer.hpp"
@@ -217,7 +216,7 @@ bool ServeServer::start(std::string* error) {
 }
 
 std::string ServeServer::banner() const {
-  std::ostringstream out;
+  std::string out;
   metrics::JsonWriter w(out);
   w.begin_object().kv("schema", "sda.listen.v1");
   if (options_.listen.kind == ListenSpec::Kind::kUnix) {
@@ -230,7 +229,7 @@ std::string ServeServer::banner() const {
   w.kv("backend", "poll")
       .kv("pid", static_cast<std::uint64_t>(::getpid()))
       .end_object();
-  return std::move(out).str();
+  return out;
 }
 
 void ServeServer::request_stop() {
@@ -359,15 +358,13 @@ void ServeServer::feed_line(Connection& conn, std::string_view line,
     // session (whose own limit check would see a plausible length).
     ServeSession::Reply r;
     r.kind = ServeSession::ReplyKind::kError;
-    std::ostringstream text;
-    metrics::JsonWriter w(text);
-    w.begin_object()
+    metrics::JsonWriter(r.line)
+        .begin_object()
         .kv("schema", "sda.error.v1")
         .kv("code", to_string(ProtocolErrorCode::kLimit))
         .kv("reason", "line exceeds transport limit")
         .end_object();
-    text << "\n";
-    r.line = std::move(text).str();
+    r.line += '\n';
     replies.push_back(std::move(r));
   } else if (const std::optional<std::uint64_t> accepted =
                  session_.handle_line(line, replies)) {

@@ -54,7 +54,6 @@ struct RunResult {
   bool admission_enabled = false;
   std::uint64_t globals_not_admitted = 0;  ///< drawn but rejected/shed
   core::AdmissionStats admission;
-  core::PlanCache::Stats plan_cache;
   core::OverloadState admission_final_state = core::OverloadState::kNormal;
 };
 

@@ -409,7 +409,6 @@ RunResult run_once_sharded(const ExperimentConfig& config, std::uint64_t seed,
   if (admission_ptr != nullptr) {
     result.admission_enabled = true;
     result.admission = admission_ptr->stats();
-    result.plan_cache = admission_ptr->cache_stats();
     result.admission_final_state = admission_ptr->state();
     if (parallel_source) {
       result.globals_not_admitted = parallel_source->not_admitted();

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,10 +20,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string render_decision(std::uint64_t id, double at,
-                            const core::AdmissionOutcome& outcome,
-                            bool retry_hint, double retry_after) {
-  std::ostringstream out;
+void render_decision(std::string& out, std::uint64_t id, double at,
+                     const core::AdmissionOutcome& outcome, bool retry_hint,
+                     double retry_after) {
+  // Sized for the fixed members plus ~64 bytes per leaf: one allocation.
+  out.reserve(out.size() + 256 + 64 * outcome.plan.size());
   metrics::JsonWriter w(out);
   w.begin_object()
       .kv("schema", "sda.admit.v1")
@@ -34,8 +34,7 @@ std::string render_decision(std::uint64_t id, double at,
       .kv("state", core::to_string(outcome.state))
       .kv("reason", outcome.reason)
       .kv("pressure", outcome.pressure)
-      .kv("deadline", outcome.deadline)
-      .kv("cache_hit", outcome.cache_hit);
+      .kv("deadline", outcome.deadline);
   if (!outcome.plan.empty()) {
     w.key("leaves").begin_array();
     for (const core::PlanEntry& a : outcome.plan) {
@@ -49,14 +48,13 @@ std::string render_decision(std::uint64_t id, double at,
   }
   if (retry_hint) w.kv("retry_after", retry_after);
   w.end_object();
-  out << "\n";
-  return std::move(out).str();
+  out += '\n';
 }
 
 std::string render_error(ProtocolErrorCode code, bool has_id,
                          std::uint64_t id, double at,
-                         const std::string& message) {
-  std::ostringstream out;
+                         std::string_view message) {
+  std::string out;
   metrics::JsonWriter w(out);
   w.begin_object().kv("schema", "sda.error.v1");
   if (has_id) w.kv("id", id);
@@ -64,8 +62,8 @@ std::string render_error(ProtocolErrorCode code, bool has_id,
       .kv("code", to_string(code))
       .kv("reason", message)
       .end_object();
-  out << "\n";
-  return std::move(out).str();
+  out += '\n';
+  return out;
 }
 
 }  // namespace
@@ -133,7 +131,7 @@ void ServeSession::emit_decision(std::vector<Reply>& replies,
   reply.kind = ReplyKind::kDecision;
   reply.has_id = true;
   reply.id = id;
-  reply.line = render_decision(id, now_, outcome, hint, retry_after);
+  render_decision(reply.line, id, now_, outcome, hint, retry_after);
   replies.push_back(std::move(reply));
 }
 
@@ -322,10 +320,9 @@ void ServeSession::finish(std::vector<Reply>& replies,
   emit_resolved(replies, controller_.flush(now_));
 
   result_.stats = controller_.stats();
-  result_.cache = controller_.cache_stats();
 
-  std::ostringstream out;
-  metrics::JsonWriter w(out);
+  std::string summary;
+  metrics::JsonWriter w(summary);
   w.begin_object()
       .kv("schema", "sda.serve.summary.v1")
       .kv("submissions", result_.submissions)
@@ -346,12 +343,6 @@ void ServeSession::finish(std::vector<Reply>& replies,
       .kv("to_degraded", result_.stats.to_degraded)
       .kv("to_shedding", result_.stats.to_shedding)
       .kv("to_normal", result_.stats.to_normal)
-      .end_object();
-  w.key("plan_cache")
-      .begin_object()
-      .kv("hits", result_.cache.hits)
-      .kv("misses", result_.cache.misses)
-      .kv("evictions", result_.cache.evictions)
       .end_object();
   if (options_.measure_latency) {
     metrics::LogHistogram latency_ns(1.0, 1e9, 8);  // 1 ns .. 1 s
@@ -398,7 +389,6 @@ void ServeSession::finish(std::vector<Reply>& replies,
         .end_object();
   }
   w.end_object();
-  std::string summary = std::move(out).str();
 
   if (journal_.is_open()) {
     // Checkpoint = the summary itself, durably flushed: a later replay
@@ -409,7 +399,7 @@ void ServeSession::finish(std::vector<Reply>& replies,
 
   Reply reply;
   reply.kind = ReplyKind::kSummary;
-  reply.line = summary + "\n";
+  reply.line = summary + '\n';
   replies.push_back(std::move(reply));
 }
 

@@ -31,9 +31,8 @@
 //
 // Decisions are a pure function of the accepted input lines and the
 // admission config: no RNG, no wall clock, no iteration over unordered
-// containers.  Running the same stream twice — or with the plan cache
-// on vs. off — produces byte-identical output, which the fingerprint
-// tests assert.  Wall-clock latency measurement is therefore opt-in
+// containers.  Running the same stream twice produces byte-identical
+// output, which the fingerprint tests assert.  Wall-clock latency measurement is therefore opt-in
 // (`measure_latency`) and only ever shows up in the summary record.
 //
 // Malformed input is answered with one `sda.error.v1` record per bad
@@ -115,7 +114,6 @@ struct ServeResult {
   std::uint64_t errors = 0;       ///< malformed/unknown lines answered
   std::uint64_t replayed = 0;     ///< journal records replayed at startup
   core::AdmissionStats stats;
-  core::PlanCache::Stats cache;
 };
 
 /// The transport-independent protocol engine: parse, gate through the

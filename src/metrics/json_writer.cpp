@@ -2,13 +2,15 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <stdexcept>
 
 namespace sda::metrics {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+/// Appends @p s escaped per RFC 8259 (quotes not included) to @p out.
+void json_escape_append(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -18,18 +20,40 @@ std::string json_escape(const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+      default: {
+        const auto u = static_cast<unsigned char>(c);
+        if (u < 0x20) {
+          const char esc[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xf]};
+          out.append(esc, sizeof esc);
         } else {
           out += c;
         }
+      }
     }
   }
+}
+
+template <typename T>
+void append_number(std::string& out, T v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  json_escape_append(out, s);
   return out;
+}
+
+void JsonWriter::mark_element() {
+  if (depth_ == 0) return;
+  const std::uint64_t bit = std::uint64_t{1} << (depth_ - 1);
+  if ((has_elements_ & bit) != 0) out_ += ',';
+  has_elements_ |= bit;
 }
 
 void JsonWriter::comma_for_value() {
@@ -37,44 +61,46 @@ void JsonWriter::comma_for_value() {
     pending_key_ = false;
     return;  // the key already wrote its comma
   }
-  if (!has_elements_.empty()) {
-    if (has_elements_.back()) os_ << ',';
-    has_elements_.back() = true;
-  }
+  mark_element();
+}
+
+void JsonWriter::push_level() {
+  if (depth_ == 64) throw std::length_error("JsonWriter: nesting above 64");
+  has_elements_ &= ~(std::uint64_t{1} << depth_);
+  ++depth_;
 }
 
 JsonWriter& JsonWriter::begin_object() {
   comma_for_value();
-  os_ << '{';
-  has_elements_.push_back(false);
+  out_ += '{';
+  push_level();
   return *this;
 }
 
 JsonWriter& JsonWriter::end_object() {
-  has_elements_.pop_back();
-  os_ << '}';
+  --depth_;
+  out_ += '}';
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array() {
   comma_for_value();
-  os_ << '[';
-  has_elements_.push_back(false);
+  out_ += '[';
+  push_level();
   return *this;
 }
 
 JsonWriter& JsonWriter::end_array() {
-  has_elements_.pop_back();
-  os_ << ']';
+  --depth_;
+  out_ += ']';
   return *this;
 }
 
-JsonWriter& JsonWriter::key(const std::string& k) {
-  if (!has_elements_.empty()) {
-    if (has_elements_.back()) os_ << ',';
-    has_elements_.back() = true;
-  }
-  os_ << '"' << json_escape(k) << "\":";
+JsonWriter& JsonWriter::key(std::string_view k) {
+  mark_element();
+  out_ += '"';
+  json_escape_append(out_, k);
+  out_ += "\":";
   pending_key_ = true;
   return *this;
 }
@@ -82,36 +108,36 @@ JsonWriter& JsonWriter::key(const std::string& k) {
 JsonWriter& JsonWriter::value(double v) {
   comma_for_value();
   if (!std::isfinite(v)) {
-    os_ << "null";
+    out_ += "null";
     return *this;
   }
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  os_.write(buf, res.ptr - buf);
+  append_number(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   comma_for_value();
-  os_ << v;
+  append_number(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   comma_for_value();
-  os_ << v;
+  append_number(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool v) {
   comma_for_value();
-  os_ << (v ? "true" : "false");
+  out_ += v ? "true" : "false";
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::string& v) {
+JsonWriter& JsonWriter::value(std::string_view v) {
   comma_for_value();
-  os_ << '"' << json_escape(v) << '"';
+  out_ += '"';
+  json_escape_append(out_, v);
+  out_ += '"';
   return *this;
 }
 

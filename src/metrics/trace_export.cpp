@@ -2,7 +2,9 @@
 
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "src/metrics/json_writer.hpp"
 
@@ -56,7 +58,13 @@ const char* slice_end_tag(TraceEvent e) {
 
 void write_chrome_trace(const Tracer& tracer, int node_count,
                         std::ostream& os) {
-  JsonWriter w(os);
+  // One buffer reused per event: a long trace never sits in memory whole.
+  std::string buf;
+  JsonWriter w(buf);
+  const auto drain = [&] {
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+  };
   w.begin_object();
   w.kv("displayTimeUnit", "ms");
   w.key("traceEvents").begin_array();
@@ -66,6 +74,7 @@ void write_chrome_trace(const Tracer& tracer, int node_count,
   }
   const int global_tid = node_count;
   thread_name(w, global_tid, "global runs");
+  drain();
 
   // Service slices are open from kStarted until the next terminal event of
   // the same task; a bounded ring can drop a start, in which case the
@@ -159,6 +168,7 @@ void write_chrome_trace(const Tracer& tracer, int node_count,
         w.end_object();
         break;
     }
+    drain();
   }
 
   // Close slices still in service at the horizon (the run ended mid-leg).
@@ -172,7 +182,8 @@ void write_chrome_trace(const Tracer& tracer, int node_count,
 
   w.end_array();
   w.end_object();
-  os << '\n';
+  buf += '\n';
+  drain();
 }
 
 void write_chrome_trace_file(const Tracer& tracer, int node_count,

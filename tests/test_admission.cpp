@@ -1,5 +1,5 @@
 // Feasibility tests, the overload state machine, the bounded retry
-// queue, and the SDA plan cache (core/admission, core/plan_cache).
+// queue, and the state fingerprint (core/admission).
 #include "src/core/admission.hpp"
 
 #include <gtest/gtest.h>
@@ -359,73 +359,29 @@ TEST(AdmissionController, PumpShedsExpiredAndFlushResolvesEverything) {
   EXPECT_EQ(c.queue_depth(), 0u);
 }
 
-// --- the plan cache -------------------------------------------------------
+// --- the state fingerprint -----------------------------------------------
 
-TEST(PlanCache, KeySeparatesShapesNodesAndDemands) {
+TEST(AdmissionController, FingerprintSeparatesParkedTreeShapes) {
+  // The fingerprint hashes each parked tree's exact structure: a parallel
+  // vs. serial stage, a different node, or a different pex must move it;
+  // a clone of the same tree must not.
+  const auto fingerprint_parking = [](const task::TreeNode& parked) {
+    AdmissionController c(make_config());
+    EXPECT_FALSE(
+        c.submit(tree_of("[a@0:3/3 || b@1:3/3 || c@2:3/3]"), 0.0, 3.5, 1)
+            .queued);
+    EXPECT_TRUE(c.submit(task::clone(parked), 0.0, 6.0, 2).queued);
+    return c.fingerprint();
+  };
   const auto a = tree_of("[a@0:2/2 || b@1:3/3]");
-  const auto b = tree_of("[a@0:2/2 b@1:3/3]");    // serial, same leaves
-  const auto c = tree_of("[a@2:2/2 || b@1:3/3]"); // different node
+  const auto b = tree_of("[a@0:2/2 b@1:3/3]");       // serial, same leaves
+  const auto c = tree_of("[a@2:2/2 || b@1:3/3]");    // different node
   const auto d = tree_of("[a@0:2/2.5 || b@1:3/3]");  // different pex
-  EXPECT_NE(core::plan_cache_key(*a, 5.0), core::plan_cache_key(*b, 5.0));
-  EXPECT_NE(core::plan_cache_key(*a, 5.0), core::plan_cache_key(*c, 5.0));
-  EXPECT_NE(core::plan_cache_key(*a, 5.0), core::plan_cache_key(*d, 5.0));
-  EXPECT_NE(core::plan_cache_key(*a, 5.0), core::plan_cache_key(*a, 5.5));
-  EXPECT_EQ(core::plan_cache_key(*a, 5.0),
-            core::plan_cache_key(*task::clone(*a), 5.0));
-}
-
-TEST(PlanCache, CachedPlansAreBitIdenticalToFresh) {
-  // Same submission sequence through a caching and a non-caching
-  // controller: every outcome must match bit for bit (the fingerprint
-  // guarantee the serve path relies on).
-  AdmissionConfig with = make_config();
-  with.ssp = "eqs";  // partitioning SSP: the serial stages admit
-  AdmissionConfig without = with;
-  without.plan_cache = false;
-  AdmissionController cached(with);
-  AdmissionController fresh(without);
-
-  const auto t = tree_of("[a@0:1.25/1.25 || [b@1:0.7/0.7 c@1:0.9/0.9]]");
-  // Integer arrivals keep now + 6.5 - now bit-exact, so every lookup
-  // reuses the one cached (shape, relative-deadline) entry.
-  const double times[] = {0.0, 3.0, 9.0, 12.0};
-  std::uint64_t ticket = 1;
-  for (const double now : times) {
-    const AdmissionOutcome lhs = cached.decide(*t, now, now + 6.5, ticket);
-    const AdmissionOutcome rhs = fresh.decide(*t, now, now + 6.5, ticket);
-    ++ticket;
-    EXPECT_EQ(lhs.decision, rhs.decision);
-    ASSERT_EQ(lhs.plan.size(), rhs.plan.size());
-    for (std::size_t i = 0; i < lhs.plan.size(); ++i) {
-      EXPECT_EQ(bits(lhs.plan[i].planned_dispatch),
-                bits(rhs.plan[i].planned_dispatch));
-      EXPECT_EQ(bits(lhs.plan[i].virtual_deadline),
-                bits(rhs.plan[i].virtual_deadline));
-    }
-  }
-  // Identical (shape, relative deadline) pairs hit after the first miss.
-  EXPECT_EQ(cached.cache_stats().misses, 1u);
-  EXPECT_EQ(cached.cache_stats().hits, 3u);
-  EXPECT_EQ(fresh.cache_stats().hits, 0u);
-  EXPECT_EQ(fresh.cache_stats().misses, 0u);
-}
-
-TEST(PlanCache, LruEvictionIsCountedAndBounded) {
-  AdmissionConfig cfg = make_config();
-  cfg.plan_cache_capacity = 2;
-  AdmissionController c(cfg);
-  const auto t = tree_of("a@0:0.5/0.5");
-  std::uint64_t ticket = 1;
-  // Three distinct relative deadlines cycle through a 2-entry cache.
-  for (int round = 0; round < 2; ++round) {
-    for (const double rel : {4.0, 5.0, 6.0}) {
-      (void)c.decide(*t, 0.0, rel, ticket++);
-    }
-  }
-  const core::PlanCache::Stats stats = c.cache_stats();
-  EXPECT_EQ(stats.hits, 0u);  // LRU thrashes on a cyclic scan
-  EXPECT_EQ(stats.misses, 6u);
-  EXPECT_GE(stats.evictions, 4u);
+  const std::uint64_t fa = fingerprint_parking(*a);
+  EXPECT_NE(fa, fingerprint_parking(*b));
+  EXPECT_NE(fa, fingerprint_parking(*c));
+  EXPECT_NE(fa, fingerprint_parking(*d));
+  EXPECT_EQ(fa, fingerprint_parking(*task::clone(*a)));
 }
 
 }  // namespace

@@ -88,8 +88,6 @@ TEST(ConfigKv, RoundTripEveryFieldNonDefault) {
   c.admission_pressure_alpha = 0.45;
   c.admission_degrade_stretch = 2.0;
   c.admission_shed_headroom = 0.2;
-  c.admission_plan_cache = false;
-  c.admission_plan_cache_capacity = 128;
   c.global_burst_factor = 4.0;
   c.global_burst_cycle = 99.0;
   c.shards = 3;

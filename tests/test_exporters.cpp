@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -146,22 +148,143 @@ TEST(JsonChecker, SelfTest) {
 }
 
 TEST(JsonWriter, EscapesAndNesting) {
-  std::ostringstream os;
-  metrics::JsonWriter w(os);
+  std::string out;
+  metrics::JsonWriter w(out);
   w.begin_object();
   w.kv("s", "a\"b\\c\nd\x01");
   w.key("arr").begin_array().value(1).value(false).value(2.5).end_array();
   w.key("nested").begin_object().end_object();
   w.end_object();
-  EXPECT_TRUE(JsonChecker::valid(os.str())) << os.str();
-  EXPECT_NE(os.str().find("\\u0001"), std::string::npos);
+  EXPECT_TRUE(JsonChecker::valid(out)) << out;
+  EXPECT_NE(out.find("\\u0001"), std::string::npos);
 }
 
 TEST(JsonWriter, NonFiniteBecomesNull) {
-  std::ostringstream os;
-  metrics::JsonWriter w(os);
+  std::string out;
+  metrics::JsonWriter w(out);
   w.begin_array().value(1.0 / 0.0).value(0.0 / 0.0).end_array();
-  EXPECT_EQ(os.str(), "[null,null]");
+  EXPECT_EQ(out, "[null,null]");
+}
+
+// --- JsonWriter byte pins ---------------------------------------------------
+// Literal expected output: every byte the writer produces is part of the
+// wire format (sda.admit.v1 replies, sda.run.v1 lines), so these must not
+// move when the writer's internals do.
+
+/// Renders one document through a JsonWriter into a string.
+template <typename Body>
+std::string json_of(Body body) {
+  std::string out;
+  metrics::JsonWriter w(out);
+  body(w);
+  return out;
+}
+
+/// Every control character U+0000..U+001F, then quote and backslash.
+std::string control_and_specials() {
+  std::string s;
+  for (int c = 0; c < 0x20; ++c) s.push_back(static_cast<char>(c));
+  s += "\"\\";
+  return s;
+}
+
+constexpr const char* kEscapedControlAndSpecials =
+    R"(\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r)"
+    R"(\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017)"
+    R"(\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f\"\\)";
+
+TEST(JsonWriter, EscapesEveryControlCharacterInValues) {
+  const std::string out = json_of([](metrics::JsonWriter& w) {
+    w.begin_object().kv("v", control_and_specials()).end_object();
+  });
+  EXPECT_EQ(out, std::string(R"({"v":")") + kEscapedControlAndSpecials +
+                     R"("})");
+  EXPECT_TRUE(JsonChecker::valid(out)) << out;
+}
+
+TEST(JsonWriter, EscapesEveryControlCharacterInKeys) {
+  const std::string out = json_of([](metrics::JsonWriter& w) {
+    w.begin_object().kv(control_and_specials(), 1).end_object();
+  });
+  EXPECT_EQ(out, std::string(R"({")") + kEscapedControlAndSpecials +
+                     R"(":1})");
+  EXPECT_TRUE(JsonChecker::valid(out)) << out;
+}
+
+TEST(JsonWriter, PassesPrintableAndHighBytesThrough) {
+  const std::string out = json_of([](metrics::JsonWriter& w) {
+    w.begin_array()
+        .value("a/b 'c' \x7f \xc3\xa9")
+        .value(std::string("plain"))
+        .value("")
+        .end_array();
+  });
+  EXPECT_EQ(out, "[\"a/b 'c' \x7f \xc3\xa9\",\"plain\",\"\"]");
+}
+
+TEST(JsonWriter, NonFiniteDoublesRenderAsNullEverywhere) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::string out = json_of([&](metrics::JsonWriter& w) {
+    w.begin_object().kv("nan", nan).kv("pinf", inf).kv("ninf", -inf);
+    w.key("arr").begin_array().value(nan).value(inf).value(-inf).end_array();
+    w.end_object();
+  });
+  EXPECT_EQ(out,
+            R"({"nan":null,"pinf":null,"ninf":null,"arr":[null,null,null]})");
+}
+
+TEST(JsonWriter, IntegerExtremesAndShortestDoubles) {
+  const std::string out = json_of([](metrics::JsonWriter& w) {
+    w.begin_array()
+        .value(std::numeric_limits<std::int64_t>::min())
+        .value(std::numeric_limits<std::int64_t>::max())
+        .value(std::numeric_limits<std::uint64_t>::max())
+        .value(std::uint64_t{0})
+        .value(-1)
+        .value(0.1)
+        .value(2.5)
+        .value(-0.0)
+        .value(1e300)
+        .value(0.1 + 0.2)
+        .value(true)
+        .value(false)
+        .end_array();
+  });
+  EXPECT_EQ(out,
+            "[-9223372036854775808,9223372036854775807,"
+            "18446744073709551615,0,-1,0.1,2.5,-0,1e+300,"
+            "0.30000000000000004,true,false]");
+}
+
+TEST(JsonWriter, CommasInNestedObjectsAndArrays) {
+  const std::string out = json_of([](metrics::JsonWriter& w) {
+    w.begin_object();
+    w.key("a").begin_array();
+    w.value(1);
+    w.begin_object().key("b").begin_array().end_array().end_object();
+    w.begin_array().value(2).value(3).end_array();
+    w.begin_array().end_array();
+    w.end_array();
+    w.key("c").begin_object();
+    w.key("d").begin_object().end_object();
+    w.kv("e", "f");
+    w.end_object();
+    w.kv("g", true);
+    w.end_object();
+  });
+  EXPECT_EQ(out, R"({"a":[1,{"b":[]},[2,3],[]],"c":{"d":{},"e":"f"},"g":true})");
+}
+
+TEST(JsonWriter, TopLevelArrayOfObjects) {
+  const std::string out = json_of([](metrics::JsonWriter& w) {
+    w.begin_array();
+    for (int i = 0; i < 3; ++i) {
+      w.begin_object().kv("i", i).kv("s", "x").end_object();
+    }
+    w.end_array();
+  });
+  EXPECT_EQ(out, R"([{"i":0,"s":"x"},{"i":1,"s":"x"},{"i":2,"s":"x"}])");
 }
 
 // --- fixtures ---------------------------------------------------------------

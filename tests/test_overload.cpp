@@ -80,27 +80,6 @@ TEST(Overload, StateMachineShedsAndRecovers) {
   EXPECT_EQ(total_missed(r.collector), 0u);
 }
 
-TEST(Overload, PlanCacheIsBehaviorTransparent) {
-  // Identical seeds, cache on vs off: the whole-run determinism
-  // fingerprint (every task lifecycle event) must match bit for bit.
-  exp::ExperimentConfig on = overload_config();
-  exp::ExperimentConfig off = overload_config();
-  on.admission_plan_cache = true;
-  off.admission_plan_cache = false;
-
-  metrics::Tracer ta(1), tb(1);
-  const exp::RunResult ra =
-      exp::run_once(on, exp::replication_seed(on.seed, 0), &ta);
-  const exp::RunResult rb =
-      exp::run_once(off, exp::replication_seed(off.seed, 0), &tb);
-
-  EXPECT_EQ(ta.fingerprint(), tb.fingerprint());
-  EXPECT_EQ(ra.admission.admitted, rb.admission.admitted);
-  EXPECT_EQ(ra.admission.rejected, rb.admission.rejected);
-  EXPECT_EQ(ra.admission.shed, rb.admission.shed);
-  EXPECT_EQ(rb.plan_cache.hits + rb.plan_cache.misses, 0u);
-}
-
 TEST(Overload, GatedRunsAreDeterministicAcrossReruns) {
   // The controller holds unordered containers; none of their iteration
   // order may leak into decisions.  Two fresh runs, same seed, same

@@ -1,5 +1,5 @@
 // The sda_run --serve stream loop: protocol handling, one decision per
-// submission, deterministic bytes, and plan-cache transparency.
+// submission, deterministic bytes, and a golden overload script.
 #include "src/exp/serve.hpp"
 
 #include <unistd.h>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/exp/journal.hpp"
+#include "src/util/fnv.hpp"
 
 namespace {
 
@@ -44,19 +45,6 @@ std::vector<std::string> lines(const std::string& text) {
   return out;
 }
 
-/// Drops the "cache_hit" member — the one field of a decision record
-/// that is *supposed* to differ between cache-on and cache-off runs.
-std::string strip_cache_hit(std::string line) {
-  for (const char* token :
-       {",\"cache_hit\":true", ",\"cache_hit\":false"}) {
-    const std::size_t pos = line.find(token);
-    if (pos != std::string::npos) {
-      line.erase(pos, std::string(token).size());
-    }
-  }
-  return line;
-}
-
 std::size_t count_substr(const std::string& text, const std::string& what) {
   std::size_t n = 0;
   for (std::size_t pos = text.find(what); pos != std::string::npos;
@@ -64,6 +52,91 @@ std::size_t count_substr(const std::string& text, const std::string& what) {
     ++n;
   }
   return n;
+}
+
+exp::ServeOptions overload_options() {
+  exp::ServeOptions o;
+  o.admission.node_count = 3;
+  o.admission.queue_capacity = 4;
+  o.admission.enter_degraded = 0.45;
+  o.admission.exit_degraded = 0.35;
+  o.admission.enter_shedding = 0.6;
+  o.admission.exit_shedding = 0.5;
+  o.retry_hints = true;
+  return o;
+}
+
+/// A scripted stream that parks submissions, overflows the retry queue,
+/// and walks the overload state machine normal -> degraded -> shedding
+/// and back to normal, with answered protocol errors along the way.
+std::vector<std::string> overload_script() {
+  std::vector<std::string> script;
+  const auto sub = [&](int id, double at, double deadline,
+                       const std::string& tree) {
+    script.push_back("sub id=" + std::to_string(id) +
+                     " at=" + std::to_string(at) +
+                     " deadline=" + std::to_string(deadline) + " tree=" + tree);
+  };
+  const auto done = [&](const std::string& rest) {
+    script.push_back("done " + rest);
+  };
+  int id = 0;
+  double at = 0.0;
+  // Light load: everything admits, completions retire it.
+  for (int i = 0; i < 12; ++i) {
+    ++id;
+    at += 0.5;
+    sub(id, at, 6.0, "[A@" + std::to_string(id % 3) + ":0.5/0.5 || B@" +
+                         std::to_string((id + 1) % 3) + ":0.75/0.75]");
+    if (id > 3) done("id=" + std::to_string(id - 3));
+  }
+  // Heavy tight submissions against the warm ledgers: infeasible now, so
+  // four park and the queue-full rest get backpressure.  Completions free
+  // node 0 for the head; the clock step expires the others' slack.
+  for (int i = 0; i < 6; ++i) {
+    ++id;
+    sub(id, at, 2.6 + 0.1 * i, "A@0:2.5/2.5");
+  }
+  done("id=11");
+  done("id=12");
+  at += 0.5;
+  done("id=10 at=" + std::to_string(at));
+  // A burst with few completions: ledgers fill and pressure climbs
+  // through degraded into shedding; every fifth submission is tight.
+  for (int i = 0; i < 40; ++i) {
+    ++id;
+    at += 0.1;
+    if (i % 5 == 3) {
+      sub(id, at, 1.8, "[A@" + std::to_string(id % 3) + ":1.1/1.1 || B@" +
+                           std::to_string((id + 1) % 3) + ":0.8/0.8]");
+      continue;
+    }
+    sub(id, at, 9.0 + (i % 4),
+        "[A@" + std::to_string(id % 3) + ":0.9/0.9 || B@" +
+            std::to_string((id + 1) % 3) + ":0.6/0.6 || C@" +
+            std::to_string((id + 2) % 3) + ":0.7/0.7]");
+    if (i % 9 == 4) done("id=" + std::to_string(id - 1) + " at=" +
+                         std::to_string(at) + " leaf=0");
+  }
+  // Answered errors, and a resubmission of the last (shed) id.
+  script.push_back("done id=99999");
+  script.push_back("sub id=" + std::to_string(id) + " at=" +
+                   std::to_string(at) + " deadline=4 tree=a@0:1/1");
+  script.push_back("frob id=1");
+  script.push_back("sub id=777777 at=" + std::to_string(at) +
+                   " deadline=4 tree=[a@0:1/1 ||");
+  script.push_back("sub id=777778 at=0 deadline=4 tree=a@0:1/1");
+  // Lull: the clock jumps, completions drain, pressure decays to normal.
+  for (int i = 0; i < 30; ++i) {
+    ++id;
+    at += 2.0;
+    if (i > 0) {
+      done("id=" + std::to_string(id - 1) + " at=" + std::to_string(at));
+    }
+    sub(id, at, 8.0, "[A@" + std::to_string(id % 3) + ":0.3/0.3 || B@" +
+                         std::to_string((id + 2) % 3) + ":0.4/0.4]");
+  }
+  return script;
 }
 
 TEST(Serve, OneDecisionPerSubmissionPlusSummary) {
@@ -97,33 +170,42 @@ TEST(Serve, RerunsAreByteIdentical) {
   EXPECT_EQ(r1.decisions, r2.decisions);
 }
 
-TEST(Serve, PlanCacheDoesNotChangeDecisionBytes) {
-  // Repeated tree shapes so the cache actually hits, then compare every
-  // decision line (the summary line differs only in its hit counters).
-  std::string input;
-  for (int i = 1; i <= 8; ++i) {
-    input += "sub id=" + std::to_string(i) + " at=" + std::to_string(i) +
-             " deadline=3 tree=[a@0:0.5/0.5 || b@1:0.75/0.75]\n";
+TEST(Serve, GoldenOverloadScriptPinsRepliesAndState) {
+  // Literals computed on the plan-cache build, with its "cache_hit"
+  // member stripped from each decision: deleting the cache must leave
+  // every other reply byte and the recoverable state untouched.
+  exp::ServeSession session(overload_options());
+  std::vector<exp::ServeSession::Reply> replies;
+  for (const std::string& line : overload_script()) {
+    session.handle_line(line, replies);
   }
-  exp::ServeOptions cached = options();
-  exp::ServeOptions fresh = options();
-  fresh.admission.plan_cache = false;
-  const auto [r1, out1] = run(input, cached);
-  const auto [r2, out2] = run(input, fresh);
+  const std::uint64_t fingerprint = session.state_fingerprint();
+  session.finish(replies);
 
-  std::vector<std::string> l1 = lines(out1);
-  std::vector<std::string> l2 = lines(out2);
-  ASSERT_EQ(l1.size(), l2.size());
-  ASSERT_GE(l1.size(), 2u);
-  for (std::size_t i = 0; i + 1 < l1.size(); ++i) {
-    EXPECT_EQ(strip_cache_hit(l1[i]), strip_cache_hit(l2[i]))
-        << "decision line " << i;
+  std::uint64_t digest = util::kFnvOffsetBasis;
+  std::size_t decisions = 0;
+  std::size_t errors = 0;
+  for (const exp::ServeSession::Reply& r : replies) {
+    if (r.kind == exp::ServeSession::ReplyKind::kSummary) continue;
+    util::fnv1a_mix(digest, r.line.data(), r.line.size());
+    ++(r.kind == exp::ServeSession::ReplyKind::kDecision ? decisions
+                                                           : errors);
   }
-  EXPECT_GT(r1.cache.hits, 0u);
-  EXPECT_EQ(r2.cache.hits + r2.cache.misses, 0u);
-  // The cached run's decisions do advertise their hits.
-  EXPECT_GT(count_substr(out1, "\"cache_hit\":true"), 0u);
-  EXPECT_EQ(count_substr(out2, "\"cache_hit\":true"), 0u);
+  EXPECT_EQ(fingerprint, 0x2b700eee525a0ccdULL);
+  EXPECT_EQ(digest, 0x8201818b86234a3fULL);
+  EXPECT_EQ(decisions, 89u);
+  EXPECT_EQ(errors, 6u);
+
+  // The script really exercises what it claims to.
+  const core::AdmissionStats& st = session.result().stats;
+  EXPECT_EQ(st.queued, 7u);
+  EXPECT_EQ(st.queue_high_water, 4u);
+  EXPECT_EQ(st.backpressure, 2u);
+  EXPECT_EQ(st.to_degraded, 3u);
+  EXPECT_EQ(st.to_shedding, 2u);
+  EXPECT_EQ(st.to_normal, 1u);
+  EXPECT_EQ(st.admitted, 48u);
+  EXPECT_EQ(st.shed, 39u);
 }
 
 TEST(Serve, DoneRetiresAndPumpsTheQueue) {

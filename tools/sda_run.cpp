@@ -141,19 +141,14 @@ void print_summary(const exp::ExperimentConfig& config,
                 static_cast<unsigned long long>(results.front().events_fired));
     if (results.front().admission_enabled) {
       const core::AdmissionStats& a = results.front().admission;
-      const core::PlanCache::Stats& pc = results.front().plan_cache;
       std::printf(
           "rep 0 admission: %llu admitted (+%llu degraded), %llu rejected, "
-          "%llu shed, final state %s\n"
-          "rep 0 plan cache: %llu hits / %llu misses / %llu evictions\n",
+          "%llu shed, final state %s\n",
           static_cast<unsigned long long>(a.admitted),
           static_cast<unsigned long long>(a.admitted_degraded),
           static_cast<unsigned long long>(a.rejected),
           static_cast<unsigned long long>(a.shed),
-          core::to_string(results.front().admission_final_state),
-          static_cast<unsigned long long>(pc.hits),
-          static_cast<unsigned long long>(pc.misses),
-          static_cast<unsigned long long>(pc.evictions));
+          core::to_string(results.front().admission_final_state));
     }
   }
 
@@ -201,7 +196,8 @@ int recover_check(const std::string& path, exp::ServeOptions opts) {
   char fp_hex[17];
   std::snprintf(fp_hex, sizeof fp_hex, "%016llx",
                 static_cast<unsigned long long>(session.state_fingerprint()));
-  metrics::JsonWriter w(std::cout);
+  std::string line;
+  metrics::JsonWriter w(line);
   w.begin_object()
       .kv("schema", "sda.recover.v1")
       .kv("journal", path)
@@ -221,7 +217,7 @@ int recover_check(const std::string& path, exp::ServeOptions opts) {
       .kv("ledger",
           static_cast<std::uint64_t>(session.controller().ledger_size()))
       .end_object();
-  std::cout << "\n";
+  std::cout << line << "\n";
   return raw.ok ? 0 : 66;
 }
 
