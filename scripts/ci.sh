@@ -19,7 +19,9 @@
 #      fingerprints in the report match a second exporter-free run.
 #   6. sharded PDES smoke — the same baseline run at shards=1 and
 #      shards=4 must report identical replication fingerprints (the
-#      conservative time-window fabric's bit-identity contract).
+#      conservative time-window fabric's bit-identity contract), at
+#      zero lookahead and at net_latency=0.5; the sharded run's
+#      sda.run.v1 lines carry the fabric counter block.
 #   7. sda_run --serve smoke — a scripted submission stream through the
 #      admission front door: every line parses as JSON, N submissions get
 #      exactly N sda.admit.v1 decisions plus one summary, `done` lines for
@@ -78,6 +80,8 @@ for run in lines[:2]:
         assert key in run, f"sda.run.v1 missing '{key}'"
     assert run["fingerprint"].startswith("0x")
     assert len(run["nodes"]) == 6, "one perf-counter block per node"
+    # The serial engine ran: no time-window fabric counters.
+    assert "fabric" not in run, "serial sda.run.v1 carries a fabric block"
 report = lines[2]
 for key in ("config", "classes", "overall_missed_work", "fingerprints"):
     assert key in report, f"sda.report.v1 missing '{key}'"
@@ -124,6 +128,38 @@ if [[ -z "$SERIAL_FP" || "$SERIAL_FP" != "$SHARDED_FP" ]]; then
   exit 1
 fi
 echo "sharded smoke ok: shards=4 reproduces shards=1 ($SERIAL_FP)"
+
+# Positive lookahead: the message path with real time windows (the one
+# the benchmark's sim-scale workload runs).  shards=1 here is the fabric
+# with one worker, and its fingerprints are the reference.
+"$BUILD/tools/sda_run" sim_time=2000 reps=2 shards=1 net_latency=0.5 \
+  > "$SMOKE_DIR/latency_serial.txt"
+"$BUILD/tools/sda_run" sim_time=2000 reps=2 shards=4 net_latency=0.5 \
+  --json "$SMOKE_DIR/latency.jsonl" > "$SMOKE_DIR/latency_sharded.txt"
+SERIAL_FP=$(grep -o "fingerprints:.*" "$SMOKE_DIR/latency_serial.txt")
+SHARDED_FP=$(grep -o "fingerprints:.*" "$SMOKE_DIR/latency_sharded.txt")
+if [[ -z "$SERIAL_FP" || "$SERIAL_FP" != "$SHARDED_FP" ]]; then
+  echo "FAIL: net_latency=0.5 sharded fingerprints diverge" >&2
+  echo "  shards=1: $SERIAL_FP" >&2
+  echo "  shards=4: $SHARDED_FP" >&2
+  exit 1
+fi
+SMOKE_DIR="$SMOKE_DIR" python3 - <<'PY'
+import json, os
+
+lines = [json.loads(l)
+         for l in open(os.path.join(os.environ["SMOKE_DIR"], "latency.jsonl"))]
+runs = [l for l in lines if l["schema"] == "sda.run.v1"]
+assert len(runs) == 2, len(runs)
+for run in runs:
+    fabric = run.get("fabric")
+    assert isinstance(fabric, dict), "sharded sda.run.v1 lacks its fabric block"
+    assert sorted(fabric) == sorted(["windows", "messages_posted",
+                                     "records_replayed", "fallback_sorts"]), fabric
+    assert all(isinstance(v, int) and v >= 0 for v in fabric.values()), fabric
+    assert fabric["windows"] > 0 and fabric["records_replayed"] > 0, fabric
+PY
+echo "lookahead smoke ok: net_latency=0.5 shards=4 reproduces shards=1 ($SERIAL_FP)"
 
 echo ""
 echo "=== [7/8] sda_run --serve smoke + schema check ==="

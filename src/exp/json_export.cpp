@@ -129,6 +129,15 @@ void write_run_json_line(const ExperimentConfig& config, int rep,
     w.end_object();
   }
 
+  if (result.fabric) {
+    w.key("fabric").begin_object();
+    w.kv("windows", result.fabric->windows);
+    w.kv("messages_posted", result.fabric->messages_posted);
+    w.kv("records_replayed", result.fabric->records_replayed);
+    w.kv("fallback_sorts", result.fabric->fallback_sorts);
+    w.end_object();
+  }
+
   w.key("classes").begin_array();
   for (const int cls : result.collector.classes()) {
     const metrics::ClassCounts counts = result.collector.counts(cls);

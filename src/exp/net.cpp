@@ -306,6 +306,7 @@ void ServeServer::flush_outboxes() {
         continue;
       }
     }
+    conn.committed = conn.outbox.size();
     if (conn.draining && conn.outbox.empty()) {
       to_close.push_back(fd);
       continue;
@@ -461,7 +462,22 @@ void ServeServer::drain(std::ostream& out) {
     if (reply.kind == ServeSession::ReplyKind::kSummary) out << reply.line;
   }
   out.flush();
+  flush_and_close_all();
+}
 
+int ServeServer::fail_closed(std::ostream& out) {
+  poller_.remove(listen_fd_);
+  for (auto& [fd, conn] : connections_) {
+    conn.outbox.resize(conn.committed);
+    conn.draining = true;
+  }
+  out << session_.commit_failure_line();
+  out.flush();
+  flush_and_close_all();
+  return 1;
+}
+
+void ServeServer::flush_and_close_all() {
   // Best-effort outbox flush inside the drain budget.
   const std::uint64_t deadline =
       steady_ms() + static_cast<std::uint64_t>(options_.drain_timeout_ms);
@@ -506,7 +522,7 @@ int ServeServer::run(std::ostream& out) {
     }
     // Group commit: one fsync covers every line this turn fed, and only
     // then do the turn's replies leave.
-    if (!session_.commit()) { /* counted in the journal's io_errors */ }
+    if (!session_.commit()) return fail_closed(out);
     flush_outboxes();
     enforce_timeouts(steady_ms());
   }

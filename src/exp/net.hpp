@@ -30,6 +30,12 @@
 //     (slow-client backpressure) rather than ballooning the server;
 //   * idle and partial-line (request) timeouts evict dead peers.
 //
+// A failed commit fails closed: no reply fed since the last good commit
+// leaves the process (each outbox is cut back to its committed bytes),
+// an `io` error goes to the control stream, every connection closes and
+// run() returns 1.  The journal failure is sticky, so serving on would
+// hand out decisions that recovery forgets.
+//
 // Shutdown: request_stop() is async-signal-safe (one write to a
 // self-pipe).  The loop then drains: finishes the turn in progress,
 // stops accepting, journals a checkpoint, emits the summary record on
@@ -123,6 +129,9 @@ struct Connection {
   int fd = -1;
   LineSplitter splitter{0};
   std::string outbox;          ///< reply bytes not yet written
+  /// Leading outbox bytes whose journal records are durable: what the
+  /// write phase left unsent after the last good commit.
+  std::size_t committed = 0;
   std::uint64_t last_activity_ms = 0;
   std::uint64_t partial_since_ms = 0;  ///< first byte of an unfinished line
   bool draining = false;  ///< half-closed or shutting down: flush, then close
@@ -147,9 +156,10 @@ class ServeServer {
   std::uint16_t bound_port() const noexcept { return bound_port_; }
 
   /// Runs the event loop until request_stop().  Drain output (the
-  /// summary record) goes to @p out.  Returns 0 on a clean drain,
-  /// 1 on an unrecoverable loop error.  Assumes the loop_ role: the
-  /// calling thread becomes the event-loop owner for the duration.
+  /// summary record) goes to @p out.  Returns 0 on a clean drain, 1 on
+  /// an unrecoverable loop error or a failed journal commit.  Assumes
+  /// the loop_ role: the calling thread becomes the event-loop owner for
+  /// the duration.
   int run(std::ostream& out);
 
   /// Async-signal-safe stop: one byte down the self-pipe.  Safe to
@@ -178,6 +188,13 @@ class ServeServer {
   void close_connection(int fd) SDA_REQUIRES(loop_);
   void enforce_timeouts(std::uint64_t now_ms) SDA_REQUIRES(loop_);
   void drain(std::ostream& out) SDA_REQUIRES(loop_);
+  /// A failed commit: cuts every outbox back to its committed bytes,
+  /// writes the session's io error on @p out, closes every connection
+  /// and returns run()'s failure code.
+  int fail_closed(std::ostream& out) SDA_REQUIRES(loop_);
+  /// Writes pending outboxes until every connection has closed or the
+  /// drain budget is spent, then closes what is left.
+  void flush_and_close_all() SDA_REQUIRES(loop_);
 
   ServeSession& session_;
   ServerOptions options_;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/core/admission.hpp"
@@ -55,6 +56,16 @@ struct RunResult {
   std::uint64_t globals_not_admitted = 0;  ///< drawn but rejected/shed
   core::AdmissionStats admission;
   core::OverloadState admission_final_state = core::OverloadState::kNormal;
+
+  /// Time-window fabric counters (sim::Fabric); set only when the
+  /// replication ran on the fabric (shards > 1 or net_latency > 0).
+  struct FabricStats {
+    std::uint64_t windows = 0;
+    std::uint64_t messages_posted = 0;
+    std::uint64_t records_replayed = 0;
+    std::uint64_t fallback_sorts = 0;  ///< shard-windows needing a sort
+  };
+  std::optional<FabricStats> fabric;
 };
 
 /// Runs one replication with the given seed.  When @p tracer is non-null,

@@ -414,6 +414,9 @@ RunResult run_once_sharded(const ExperimentConfig& config, std::uint64_t seed,
       result.globals_not_admitted = parallel_source->not_admitted();
     }
   }
+  result.fabric = RunResult::FabricStats{
+      fabric.windows(), fabric.messages_posted(), fabric.records_replayed(),
+      fabric.fallback_sorts()};
   return result;
 }
 

@@ -291,6 +291,13 @@ bool ServeSession::commit() {
   return !journal_.is_open() || journal_.flush();
 }
 
+std::string ServeSession::commit_failure_line() const {
+  util::RoleGuard own(owner_);
+  return render_error(ProtocolErrorCode::kIo, false, 0, now_,
+                      "journal commit failed: replies since the last durable "
+                      "commit are withheld and the service stops");
+}
+
 std::uint64_t ServeSession::state_fingerprint() const {
   util::RoleGuard own(owner_);
   return fingerprint_impl();
@@ -318,8 +325,7 @@ void ServeSession::finish(std::vector<Reply>& replies,
   // same value), since the flush itself is not a journaled input.
   const std::uint64_t fp = fingerprint_impl();
   emit_resolved(replies, controller_.flush(now_));
-
-  result_.stats = controller_.stats();
+  const core::AdmissionStats& stats = controller_.stats();
 
   std::string summary;
   metrics::JsonWriter w(summary);
@@ -328,21 +334,21 @@ void ServeSession::finish(std::vector<Reply>& replies,
       .kv("submissions", result_.submissions)
       .kv("decisions", result_.decisions)
       .kv("errors", result_.errors)
-      .kv("admitted", result_.stats.admitted)
-      .kv("admitted_degraded", result_.stats.admitted_degraded)
-      .kv("rejected", result_.stats.rejected)
-      .kv("shed", result_.stats.shed)
-      .kv("backpressure", result_.stats.backpressure)
-      .kv("queued", result_.stats.queued)
+      .kv("admitted", stats.admitted)
+      .kv("admitted_degraded", stats.admitted_degraded)
+      .kv("rejected", stats.rejected)
+      .kv("shed", stats.shed)
+      .kv("backpressure", stats.backpressure)
+      .kv("queued", stats.queued)
       .kv("queue_high_water",
-          static_cast<std::uint64_t>(result_.stats.queue_high_water))
+          static_cast<std::uint64_t>(stats.queue_high_water))
       .kv("final_state", core::to_string(controller_.state()))
       .kv("final_pressure", controller_.pressure());
   w.key("transitions")
       .begin_object()
-      .kv("to_degraded", result_.stats.to_degraded)
-      .kv("to_shedding", result_.stats.to_shedding)
-      .kv("to_normal", result_.stats.to_normal)
+      .kv("to_degraded", stats.to_degraded)
+      .kv("to_shedding", stats.to_shedding)
+      .kv("to_normal", stats.to_normal)
       .end_object();
   if (options_.measure_latency) {
     metrics::LogHistogram latency_ns(1.0, 1e9, 8);  // 1 ns .. 1 s
@@ -359,8 +365,8 @@ void ServeSession::finish(std::vector<Reply>& replies,
         .end_object();
     w.kv("admissions_per_sec",
          busy_seconds_ > 0.0
-             ? static_cast<double>(result_.stats.admitted +
-                                   result_.stats.admitted_degraded) /
+             ? static_cast<double>(stats.admitted +
+                                   stats.admitted_degraded) /
                    busy_seconds_
              : 0.0);
   }
@@ -406,29 +412,42 @@ void ServeSession::finish(std::vector<Reply>& replies,
 ServeResult serve_stream(std::istream& in, std::ostream& out,
                          const ServeOptions& options) {
   ServeSession session(options);
+  const auto journal_failed = [&](const std::string& error_line) {
+    out << error_line;
+    out.flush();
+    ServeResult r = session.result();
+    r.journal_failed = true;
+    return r;
+  };
   std::string diag;
   if (!session.open_journal(&diag)) {
-    out << render_error(ProtocolErrorCode::kIo, false, 0, 0.0, diag);
-    return session.result();
+    return journal_failed(
+        render_error(ProtocolErrorCode::kIo, false, 0, 0.0, diag));
   }
   // Group commit: hold replies while more input is already buffered,
-  // then commit once and write them all.
+  // then commit once and write them all.  A failed commit fails closed:
+  // the held replies never leave, so no client holds a decision that
+  // recovery would forget.
   std::vector<ServeSession::Reply> replies;
   const auto commit_and_write = [&] {
-    if (!session.commit()) { /* counted in journal_io_errors */ }
+    if (!session.commit()) return false;
     for (const ServeSession::Reply& r : replies) out << r.line;
     out.flush();
     replies.clear();
+    return true;
   };
   std::string text;
   while (std::getline(in, text)) {
     session.handle_line(text, replies);
-    if (in.rdbuf()->in_avail() <= 0 ||
-        replies.size() >= options.journal_flush_every) {
-      commit_and_write();
+    if ((in.rdbuf()->in_avail() <= 0 ||
+         replies.size() >= options.journal_flush_every) &&
+        !commit_and_write()) {
+      return journal_failed(session.commit_failure_line());
     }
   }
-  commit_and_write();
+  if (!commit_and_write()) {
+    return journal_failed(session.commit_failure_line());
+  }
   session.finish(replies);
   for (const ServeSession::Reply& r : replies) out << r.line;
   return session.result();

@@ -113,6 +113,8 @@ struct ServeResult {
   std::uint64_t decisions = 0;    ///< decision records emitted
   std::uint64_t errors = 0;       ///< malformed/unknown lines answered
   std::uint64_t replayed = 0;     ///< journal records replayed at startup
+  /// The journal failed (open or commit): the stream stopped early.
+  bool journal_failed = false;
   core::AdmissionStats stats;
 };
 
@@ -152,7 +154,14 @@ class ServeSession {
   /// of the lines fed before this call may be sent once it returns.
   /// Returns false on a journal IO failure (counted in
   /// journal_io_errors()); a no-op returning true without a journal.
+  /// The failure is sticky, and a transport must then fail closed: send
+  /// no reply held since the last good commit, emit
+  /// commit_failure_line(), and stop.
   bool commit();
+
+  /// The sda.error.v1 line (code `io`) that ends a stream whose commit()
+  /// failed.
+  std::string commit_failure_line() const;
 
   /// End of stream / drain: resolves everything still parked, appends a
   /// journal checkpoint, and emits the summary record.  @p net, when
@@ -179,9 +188,12 @@ class ServeSession {
     util::RoleGuard own(owner_);
     return replay_diagnostic_;
   }
-  const ServeResult& result() const noexcept {
+  /// The counters so far, with the controller's live admission stats.
+  ServeResult result() const {
     util::RoleGuard own(owner_);
-    return result_;
+    ServeResult r = result_;
+    r.stats = controller_.stats();
+    return r;
   }
   const core::AdmissionController& controller() const noexcept {
     return controller_;
@@ -238,7 +250,9 @@ class ServeSession {
 /// deterministic harness: byte-identical output across reruns.
 /// Replies are held and written (then @p out flushed) after a commit,
 /// whenever @p in has nothing buffered, `journal_flush_every` replies
-/// are held, or at EOF.
+/// are held, or at EOF.  A failed commit fails closed: the held replies
+/// are dropped, one `io` error line is written, and the stream stops
+/// (ServeResult::journal_failed).
 ServeResult serve_stream(std::istream& in, std::ostream& out,
                          const ServeOptions& options);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <barrier>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -98,6 +99,7 @@ Fabric::Fabric(const Options& opt) : opt_(opt) {
   outboxes_ = std::vector<CrossShardQueue>(
       static_cast<std::size_t>(opt_.shards) *
       static_cast<std::size_t>(opt_.shards));
+  runs_.resize(static_cast<std::size_t>(opt_.shards));
 }
 
 Fabric::~Fabric() = default;
@@ -149,7 +151,11 @@ void Fabric::run(Time horizon) {
   for (std::thread& w : workers) w.join();
 
   messages_posted_ = 0;
-  for (const auto& sh : shards_) messages_posted_ += sh->posted;
+  fallback_sorts_ = 0;
+  for (const auto& sh : shards_) {
+    messages_posted_ += sh->posted;
+    fallback_sorts_ += sh->fallback_sorts;
+  }
   std::exception_ptr e;
   {
     util::LockGuard lock(failure_mu_);
@@ -215,7 +221,7 @@ void Fabric::worker_loop(int shard, Time horizon, Barrier& sync) {
       }
       stop_flag_.store(true, std::memory_order_relaxed);
     }
-    sync.wait();  // (C) inboxes drained, sinks replayed; next window
+    sync.wait();  // (C) inboxes drained, records collected; next window
     if (stop_flag_.load(std::memory_order_relaxed)) break;
   }
 }
@@ -250,6 +256,16 @@ void Fabric::run_phase(Shard& sh, Time window_min, Time horizon) {
     sh.next_child = 0;
     f.fn();
   }
+  // Each event's records carry its time and extend its path, and events
+  // fire in time order, so the window's records are already sorted unless
+  // two events at one exact timestamp fired against path order: a
+  // lane-local root scheduled before a same-time message from a lower
+  // path, say.  Sorting here, on every shard at once, keeps shard 0's
+  // replay a plain merge.
+  if (!std::is_sorted(sh.records.begin(), sh.records.end(), record_before)) {
+    std::sort(sh.records.begin(), sh.records.end(), record_before);
+    ++sh.fallback_sorts;
+  }
 }
 
 void Fabric::drain_phase(int shard) {
@@ -273,36 +289,86 @@ void Fabric::drain_phase(int shard) {
 }
 
 void Fabric::collect_records() {
-  for (const auto& shp : shards_) {
-    Shard& sh = *shp;
-    for (SinkRecord& r : sh.records) pending_records_.push_back(std::move(r));
-    sh.records.clear();
+  for (std::size_t s = 0; s < runs_.size(); ++s) {
+    Run& run = runs_[s];
+    std::vector<SinkRecord>& window = shards_[s]->records;
+    if (run.next == run.records.size()) {
+      // Fully replayed: recycle its capacity as the shard's next window.
+      run.records.clear();
+      run.next = 0;
+      run.records.swap(window);
+      continue;
+    }
+    if (window.empty()) continue;
+    // Zero-lookahead leftovers at the frontier timestamp: this window's
+    // records (all at >= that timestamp) merge in behind them.
+    run.records.erase(run.records.begin(),
+                      run.records.begin() +
+                          static_cast<std::ptrdiff_t>(run.next));
+    run.next = 0;
+    const std::size_t mid = run.records.size();
+    run.records.insert(run.records.end(),
+                       std::make_move_iterator(window.begin()),
+                       std::make_move_iterator(window.end()));
+    window.clear();
+    std::inplace_merge(run.records.begin(),
+                       run.records.begin() + static_cast<std::ptrdiff_t>(mid),
+                       run.records.end(), record_before);
   }
 }
 
 void Fabric::flush_records(Time before) {
-  if (pending_records_.empty()) return;
-  // Unstable partition is fine: the flushed prefix is fully sorted below,
-  // and the kept suffix gets its own sort at its own flush.
-  const auto mid =
-      std::partition(pending_records_.begin(), pending_records_.end(),
-                     [before](const SinkRecord& r) { return r.time < before; });
-  if (mid == pending_records_.begin()) return;
-  // Keys are unique across shards and sub-rounds, so (time, path) is a
-  // total order: the replay sequence is independent of both the window
-  // chop and the shard count — the determinism contract.
-  std::sort(pending_records_.begin(), mid, record_before);
-  for (auto it = pending_records_.begin(); it != mid; ++it) {
-    if (const auto* tr = std::get_if<metrics::TraceRecord>(&it->payload)) {
-      if (tracer_ != nullptr) tracer_->add(*tr);
-    } else if (const auto* st = std::get_if<task::SimpleTask>(&it->payload)) {
-      if (collector_ != nullptr) collector_->record_simple(*st);
-    } else if (const auto* gr =
-                   std::get_if<core::GlobalTaskRecord>(&it->payload)) {
-      if (collector_ != nullptr) collector_->record_global(*gr);
-    }
+  for (Run& run : runs_) {
+    const auto first =
+        run.records.begin() + static_cast<std::ptrdiff_t>(run.next);
+    run.end = static_cast<std::size_t>(
+        std::partition_point(first, run.records.end(),
+                             [before](const SinkRecord& r) {
+                               return r.time < before;
+                             }) -
+        run.records.begin());
+    records_replayed_ += run.end - run.next;
   }
-  pending_records_.erase(pending_records_.begin(), mid);
+  // Keys are unique across shards and sub-rounds, so (time, path) is a
+  // total order and merging the sorted runs yields exactly the sorted
+  // sequence: the replay is independent of both the window chop and the
+  // shard count — the determinism contract.
+  for (;;) {
+    Run* best = nullptr;
+    Run* second = nullptr;
+    for (Run& run : runs_) {
+      if (run.next == run.end) continue;
+      if (best == nullptr ||
+          record_before(run.records[run.next], best->records[best->next])) {
+        second = best;
+        best = &run;
+      } else if (second == nullptr ||
+                 record_before(run.records[run.next],
+                               second->records[second->next])) {
+        second = &run;
+      }
+    }
+    if (best == nullptr) return;
+    // Replay the best head and every record of its run that still sorts
+    // before the runner-up's head.
+    do {
+      replay(best->records[best->next++]);
+    } while (best->next != best->end &&
+             (second == nullptr ||
+              record_before(best->records[best->next],
+                            second->records[second->next])));
+  }
+}
+
+void Fabric::replay(const SinkRecord& rec) {
+  if (const auto* tr = std::get_if<metrics::TraceRecord>(&rec.payload)) {
+    if (tracer_ != nullptr) tracer_->add(*tr);
+  } else if (const auto* st = std::get_if<task::SimpleTask>(&rec.payload)) {
+    if (collector_ != nullptr) collector_->record_simple(*st);
+  } else if (const auto* gr =
+                 std::get_if<core::GlobalTaskRecord>(&rec.payload)) {
+    if (collector_ != nullptr) collector_->record_global(*gr);
+  }
 }
 
 std::uint64_t Fabric::events_fired() const noexcept {

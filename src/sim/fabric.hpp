@@ -21,11 +21,15 @@
 //         barrier; T = global minimum.  T > horizon -> done.
 //     (B) every shard fires its local events with time < T + L
 //         (L == 0: time == T), appending outbound messages and deferred
-//         sink records; barrier.
+//         sink records, then leaves its window's records in (time, path)
+//         order (they almost always are already: a check, and a sort only
+//         on exact timestamp ties); barrier.
 //     (C) every shard drains its inbound message queues (sorted by the
-//         deterministic key below) into its engine, while shard 0 merges
-//         all shards' sink records in the same order and replays them
-//         into the Collector/Tracer; barrier; repeat.
+//         deterministic key below) into its engine, while shard 0 swaps
+//         each shard's sorted records into that shard's *run*; barrier;
+//         repeat.  At the next (A), shard 0 replays every settled record
+//         into the Collector/Tracer by an S-way merge over the runs'
+//         heads, while the other shards already fire their window.
 //
 // Safety: a message posted at time t >= T is delivered at t + L >= T + L,
 // i.e. never inside the window any shard is still executing, so no shard
@@ -276,6 +280,14 @@ class Fabric {
   std::uint64_t windows() const noexcept SDA_NO_THREAD_SAFETY_ANALYSIS {
     return windows_;
   }
+  /// Sink records replayed into the collector/tracer (same post-join read).
+  std::uint64_t records_replayed() const noexcept
+      SDA_NO_THREAD_SAFETY_ANALYSIS {
+    return records_replayed_;
+  }
+  /// Shard-windows whose records needed the fallback sort: an exact
+  /// timestamp tie emitted out of (time, path) order on one shard.
+  std::uint64_t fallback_sorts() const noexcept { return fallback_sorts_; }
 
  private:
   /// Per-shard state, padded so neighbouring shards' hot fields never
@@ -291,7 +303,8 @@ class Fabric {
     std::uint64_t next_child = 0;
     /// Fresh-root sequence for lane-local events.
     std::uint64_t next_root = 0;
-    /// Deferred sink records produced this window.
+    /// Deferred sink records produced this window; in (time, path) order
+    /// once the run phase returns.
     // sda-lint: allow(UNBOUNDED_QUEUE) bounded by one window's emissions
     std::vector<SinkRecord> records;
     /// Scratch for the drain phase (kept to reuse capacity).
@@ -299,6 +312,17 @@ class Fabric {
     /// Earliest pending time published at barrier A (+inf when idle).
     Time announced = 0.0;
     std::uint64_t posted = 0;
+    /// Windows whose records were not already in (time, path) order.
+    std::uint64_t fallback_sorts = 0;
+  };
+
+  /// One shard's records as shard 0 holds them: sorted by (time, path),
+  /// replayed up to `next`.
+  struct Run {
+    // sda-lint: allow(UNBOUNDED_QUEUE) one window plus frontier leftovers
+    std::vector<SinkRecord> records;
+    std::size_t next = 0;  ///< first record not yet replayed
+    std::size_t end = 0;   ///< set by flush_records: end of the replayable span
   };
 
   CrossShardQueue& outbox(int src_shard, int dst_shard) noexcept
@@ -314,21 +338,26 @@ class Fabric {
   /// duration.
   struct Barrier;
   void worker_loop(int shard, Time horizon, Barrier& sync);
-  /// Fires local events inside [T, window); returns on quiesce.
+  /// Fires local events inside [T, window), then puts the window's
+  /// records in (time, path) order; returns on quiesce.
   void run_phase(Shard& sh, Time window_min, Time horizon)
       SDA_REQUIRES(window_phase_);
   /// Inserts inbound messages into @p sh's engine in deterministic order.
   void drain_phase(int shard) SDA_REQUIRES(window_phase_);
-  /// Shard 0: moves every shard's window records into the pending
-  /// buffer.  Records are NOT replayed here — at zero lookahead one
-  /// same-timestamp cascade spans several sub-rounds, so a record's
-  /// final (time, path) position is only settled once the window clock
-  /// has moved strictly past its timestamp.
+  /// Shard 0: swaps each shard's sorted window records into its run (no
+  /// record is moved, capacity is recycled).  Records are NOT replayed
+  /// here: at zero lookahead one same-timestamp cascade spans several
+  /// sub-rounds, so a record's final (time, path) position is only
+  /// settled once the window clock has moved strictly past its
+  /// timestamp.  Such leftovers stay in their run, and the next window's
+  /// records are merged in behind them.
   void collect_records() SDA_REQUIRES(window_phase_);
-  /// Shard 0: sorts and replays every pending record with time < before
-  /// into the collector/tracer; records at exactly `before` stay pending
-  /// (their cascade may still be emitting).  Pass +inf to flush all.
+  /// Shard 0: replays every record with time < before into the
+  /// collector/tracer by an S-way merge over the runs' heads; records at
+  /// exactly `before` stay in their runs (their cascade may still be
+  /// emitting).  Pass +inf to flush all.
   void flush_records(Time before) SDA_REQUIRES(window_phase_);
+  void replay(const SinkRecord& rec) SDA_REQUIRES(window_phase_);
 
   Options opt_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -345,12 +374,12 @@ class Fabric {
   NodeStatusBoard status_;
   metrics::Collector* collector_ = nullptr;
   metrics::Tracer* tracer_ = nullptr;
-  /// Records awaiting a settled order; bounded by the records emitted at
-  /// the current time frontier (flushed as soon as the clock advances).
-  // sda-lint: allow(UNBOUNDED_QUEUE) frontier-bounded, see comment
-  std::vector<SinkRecord> pending_records_ SDA_GUARDED_BY(window_phase_);
+  /// One run per shard, owned by shard 0.
+  std::vector<Run> runs_ SDA_GUARDED_BY(window_phase_);
   std::uint64_t messages_posted_ = 0;
+  std::uint64_t fallback_sorts_ = 0;
   std::uint64_t windows_ SDA_GUARDED_BY(window_phase_) = 0;
+  std::uint64_t records_replayed_ SDA_GUARDED_BY(window_phase_) = 0;
   /// First model exception from any shard; every shard checks the flag
   /// at the next barrier and unwinds together (no thread left blocking).
   std::atomic<bool> stop_flag_{false};

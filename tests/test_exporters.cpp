@@ -362,6 +362,36 @@ TEST(JsonLines, RunRecordSchema) {
   EXPECT_EQ(count_occurrences(line, "\"busy_time\":"), c.k);
 }
 
+TEST(JsonLines, RunRecordCarriesFabricCountersOnlyWhenTheFabricRan) {
+  exp::ExperimentConfig c = small_config();
+  const std::uint64_t seed = exp::replication_seed(c.seed, 0);
+  const auto line_of = [&](const exp::ExperimentConfig& config) {
+    const exp::RunResult r = exp::run_once(config, seed);
+    std::ostringstream os;
+    exp::write_run_json_line(config, 0, seed, 0, r, os);
+    return std::make_pair(r, os.str());
+  };
+  const auto [serial, serial_line] = line_of(c);
+  EXPECT_FALSE(serial.fabric.has_value());
+  EXPECT_EQ(serial_line.find("\"fabric\""), std::string::npos);
+
+  c.shards = 2;
+  c.net_latency = 0.5;
+  const auto [sharded, line] = line_of(c);
+  ASSERT_TRUE(sharded.fabric.has_value());
+  EXPECT_TRUE(JsonChecker::valid(line.substr(0, line.size() - 1))) << line;
+  const exp::RunResult::FabricStats& f = *sharded.fabric;
+  EXPECT_GT(f.windows, 0u);
+  EXPECT_GT(f.messages_posted, 0u);
+  EXPECT_GT(f.records_replayed, 0u);
+  const std::string block =
+      "\"fabric\":{\"windows\":" + std::to_string(f.windows) +
+      ",\"messages_posted\":" + std::to_string(f.messages_posted) +
+      ",\"records_replayed\":" + std::to_string(f.records_replayed) +
+      ",\"fallback_sorts\":" + std::to_string(f.fallback_sorts) + "}";
+  EXPECT_NE(line.find(block), std::string::npos) << line;
+}
+
 TEST(JsonLines, ReportRecordSchemaAndConfigRoundTrip) {
   const exp::ExperimentConfig c = small_config();
   std::vector<std::uint64_t> fps;

@@ -9,14 +9,17 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -685,6 +688,111 @@ TEST(ServeServerLoop, ConnectionCapRejectsTheOverflowClient) {
   loop.stop();
   EXPECT_EQ(loop.server().stats().rejected_connections, 1u);
   EXPECT_EQ(loop.server().stats().accepted, 1u);
+}
+
+/// Reaps @p pid, killing it first if it has not exited within 10 s.
+int reap(pid_t pid) {
+  int status = 0;
+  for (int i = 0; i < 1000; ++i) {
+    if (::waitpid(pid, &status, WNOHANG) == pid) return status;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, &status, 0);
+  return status;
+}
+
+TEST(ServeServerLoop, FailedCommitFailsClosed) {
+  // The server runs in a child process whose file-size limit sits a few
+  // records past the journal header; SIGXFSZ is ignored, so the write
+  // that crosses it fails with EFBIG.  The child reports its port and
+  // its control stream through a pipe (the limit binds every file it
+  // writes); this process is the client.
+  const std::string wal =
+      "sda_test_net_efbig_" + std::to_string(::getpid()) + ".wal";
+  std::remove(wal.c_str());
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{4096, 4096};
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(2);
+    ServeOptions so = serve_options();
+    so.journal_path = wal;
+    ServeSession session(so);
+    ServeServer server(session, ephemeral_tcp());
+    std::string error;
+    if (!session.open_journal(&error) || !server.start(&error)) ::_exit(3);
+    const std::uint16_t port = server.bound_port();
+    if (::write(fds[1], &port, sizeof port) != sizeof port) ::_exit(4);
+    std::ostringstream control;
+    const int rc = server.run(control);
+    const std::string text = control.str();
+    if (::write(fds[1], text.data(), text.size()) < 0) ::_exit(5);
+    ::_exit(rc);
+  }
+  ::close(fds[1]);
+  ::signal(SIGPIPE, SIG_IGN);  // the burst may race the server's close
+  std::uint16_t port = 0;
+  const bool got_port = ::read(fds[0], &port, sizeof port) == sizeof port;
+  std::vector<std::string> received;
+  if (got_port) {
+    Client client(port);
+    const auto sub = [](int id) {
+      return "sub id=" + std::to_string(id) + " at=" + std::to_string(id) +
+             " deadline=5 tree=a@0:1/1";
+    };
+    // Commits that fit under the limit, one turn each ...
+    for (int id = 1; id <= 5 && client.connected(); ++id) {
+      if (!client.send_line(sub(id))) break;
+      received.push_back(client.read_line());
+      if (!client.send_line("done id=" + std::to_string(id))) break;
+    }
+    // ... then a burst whose records cross it.
+    std::string burst;
+    for (int id = 6; id <= 300; ++id) {
+      burst += sub(id) + "\ndone id=" + std::to_string(id) + "\n";
+    }
+    if (client.send_raw(burst)) {
+      for (std::string line = client.read_line(); !line.empty();
+           line = client.read_line()) {
+        received.push_back(line);
+      }
+    }
+  }
+  const int status = reap(pid);
+  char buf[4096];
+  const ssize_t n = ::read(fds[0], buf, sizeof buf);
+  const std::string control(buf, n > 0 ? static_cast<std::size_t>(n) : 0);
+  ::close(fds[0]);
+  ASSERT_TRUE(got_port);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << status;
+  EXPECT_NE(control.find("\"schema\":\"sda.error.v1\""), std::string::npos)
+      << control;
+  EXPECT_NE(control.find("\"code\":\"io\""), std::string::npos) << control;
+  EXPECT_EQ(control.find("sda.serve.summary.v1"), std::string::npos);
+
+  std::set<std::string> journaled;
+  for (const exp::JournalRecord& r : exp::read_journal(wal).records) {
+    if (r.type == 'E' && r.payload.rfind("sub ", 0) == 0) {
+      journaled.insert(r.payload.substr(0, r.payload.find(" at=")));
+    }
+  }
+  EXPECT_LT(journaled.size(), 300u) << "the journal never hit the limit";
+  std::size_t decisions = 0;
+  for (const std::string& line : received) {
+    if (line.find("\"schema\":\"sda.admit.v1\"") == std::string::npos) continue;
+    ++decisions;
+    const std::size_t id_at = line.find("\"id\":") + 5;
+    const std::string id = line.substr(id_at, line.find(',', id_at) - id_at);
+    EXPECT_EQ(journaled.count("sub id=" + id), 1u)
+        << "decision " << id << " left the process without its record";
+  }
+  EXPECT_GE(decisions, 5u);
+  std::remove(wal.c_str());
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // engine) and shards in {2, 4, 8} (the message fabric) must produce the
 // same trace, for every PSP x SSP pair, with and without faults, at zero
 // and nonzero lookahead.  Also unit-covers the fabric's building blocks
-// (PathKey ordering, CrossShardQueue, NodeStatusBoard).
+// (PathKey ordering, CrossShardQueue, NodeStatusBoard) and the order in
+// which shard 0 replays sink records (exact ties, zero-lookahead
+// leftovers).
 //
 // This test runs under ThreadSanitizer in scripts/check_sanitizers.sh
 // (the tsan ctest preset includes it), so keep the horizons short: TSan
@@ -260,6 +262,105 @@ TEST(Fabric, ShardMapAndStats) {
   EXPECT_EQ(&fabric.engine_for_lane(8), &fabric.control_engine());
   EXPECT_EQ(fabric.events_fired(), 0u);
   EXPECT_EQ(fabric.events_pending(), 0u);
+}
+
+// --- sink-record replay order ------------------------------------------------
+
+metrics::TraceRecord tagged(std::uint64_t id) {
+  metrics::TraceRecord r;
+  r.task_id = id;
+  return r;
+}
+
+struct Replay {
+  std::vector<std::uint64_t> ids;  ///< task_id of every record, as replayed
+  std::uint64_t fallback_sorts = 0;
+  std::uint64_t records_replayed = 0;
+};
+
+Replay replay_order(const metrics::Tracer& tracer, const sim::Fabric& f) {
+  Replay r;
+  for (const metrics::TraceRecord& rec : tracer.records()) {
+    r.ids.push_back(rec.task_id);
+  }
+  r.fallback_sorts = f.fallback_sorts();
+  r.records_replayed = f.records_replayed();
+  return r;
+}
+
+// An exact tie on one shard: lane 1's root event at t=1 is scheduled
+// before the run, and a message from lane 0's root at t=0 reaches lane 1
+// at the same t=1.  Lane 1's engine fires the root first (FIFO among
+// equal times), but the message descends from the earlier root, so its
+// record sorts first: the shard's window records arrive out of
+// (time, path) order and need the fallback sort.
+Replay exact_tie(int shards) {
+  sim::Fabric::Options fo;
+  fo.lanes = 2;
+  fo.shards = shards;
+  fo.latency = 1.0;
+  sim::Fabric fabric(fo);
+  metrics::Tracer tracer;
+  fabric.set_sinks(nullptr, &tracer);
+  fabric.engine_for_lane(1).at(1.0, [&fabric] {
+    fabric.emit_trace(1, tagged(3));
+  });
+  fabric.engine_for_lane(0).at(0.0, [&fabric] {
+    fabric.emit_trace(0, tagged(1));
+    fabric.post(0, 1, [&fabric] { fabric.emit_trace(1, tagged(2)); });
+  });
+  fabric.run(10.0);
+  return replay_order(tracer, fabric);
+}
+
+// A zero-lookahead cascade: root A on lane 0 at t=1 posts M to lane 2
+// and then emits record 4.  M (same shard as lane 0 at 1 and 2 shards)
+// emits record 2 and posts M2 to lane 1, which emits record 3.  All
+// share t=1, so record 4 is held over every flush while the cascade
+// still runs, and the later sub-rounds' records — which sort before
+// it — must merge in ahead of it.
+Replay zero_lookahead_cascade(int shards) {
+  sim::Fabric::Options fo;
+  fo.lanes = 3;
+  fo.shards = shards;
+  fo.latency = 0.0;
+  sim::Fabric fabric(fo);
+  metrics::Tracer tracer;
+  fabric.set_sinks(nullptr, &tracer);
+  fabric.engine_for_lane(1).at(0.5, [&fabric] {
+    fabric.emit_trace(1, tagged(1));
+  });
+  fabric.engine_for_lane(0).at(1.0, [&fabric] {
+    fabric.post(0, 2, [&fabric] {
+      fabric.emit_trace(2, tagged(2));
+      fabric.post(2, 1, [&fabric] { fabric.emit_trace(1, tagged(3)); });
+    });
+    fabric.emit_trace(0, tagged(4));
+  });
+  fabric.run(10.0);
+  return replay_order(tracer, fabric);
+}
+
+TEST(FabricReplay, ExactTieIsSortedOnItsShard) {
+  const std::vector<std::uint64_t> sorted = {1, 2, 3};
+  for (const int shards : {1, 2}) {
+    const Replay r = exact_tie(shards);
+    EXPECT_EQ(r.ids, sorted) << "shards=" << shards;
+    EXPECT_GT(r.fallback_sorts, 0u) << "shards=" << shards;
+    EXPECT_EQ(r.records_replayed, 3u) << "shards=" << shards;
+  }
+}
+
+TEST(FabricReplay, ZeroLookaheadLeftoversMergeWithLaterSubRounds) {
+  const std::vector<std::uint64_t> sorted = {1, 2, 3, 4};
+  for (const int shards : {1, 2, 3}) {
+    const Replay r = zero_lookahead_cascade(shards);
+    EXPECT_EQ(r.ids, sorted) << "shards=" << shards;
+    // Every window is already in order: the leftover merge, not the
+    // fallback sort, is what puts record 4 last.
+    EXPECT_EQ(r.fallback_sorts, 0u) << "shards=" << shards;
+    EXPECT_EQ(r.records_replayed, 4u) << "shards=" << shards;
+  }
 }
 
 }  // namespace

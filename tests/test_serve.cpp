@@ -2,9 +2,13 @@
 // submission, deterministic bytes, and a golden overload script.
 #include "src/exp/serve.hpp"
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
+
+#include <csignal>
 
 #include <cstdint>
 #include <cstdio>
@@ -541,6 +545,116 @@ TEST(Serve, EveryDecisionIsDurableBeforeItIsWritten) {
         << check.not_durable.size() << " decisions written before their "
         << "record was durable, first id " << check.not_durable.front();
   }
+  std::remove(path.c_str());
+}
+
+TEST(Serve, ResultReportsLiveAdmissionStatsMidStream) {
+  exp::ServeSession session(options());
+  std::vector<exp::ServeSession::Reply> replies;
+  for (int id = 1; id <= 6; ++id) {
+    session.handle_line("sub id=" + std::to_string(id) +
+                            " at=0 deadline=3 tree=a@0:2/2",
+                        replies);
+  }
+  const core::AdmissionStats& live = session.controller().stats();
+  const exp::ServeResult mid = session.result();
+  EXPECT_GT(live.admitted, 0u);
+  EXPECT_GT(live.submitted, live.admitted);
+  EXPECT_EQ(mid.stats.submitted, live.submitted);
+  EXPECT_EQ(mid.stats.admitted, live.admitted);
+  EXPECT_EQ(mid.stats.queued, live.queued);
+  EXPECT_EQ(mid.stats.backpressure, live.backpressure);
+  EXPECT_EQ(mid.stats.rejected, live.rejected);
+  EXPECT_EQ(mid.submissions, 6u);
+}
+
+/// Writes all of @p bytes to @p fd (child side of a pipe).
+void write_fd(int fd, const std::string& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+/// Reads @p fd to EOF (parent side of a pipe).
+std::string read_fd(int fd) {
+  std::string out;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return out;
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+}
+
+TEST(Serve, FailedCommitFailsClosed) {
+  // A child process whose file-size limit sits a few records past the
+  // journal header: once the journal reaches it, a write fails with
+  // EFBIG (SIGXFSZ is ignored) and the journal failure is sticky.  The
+  // limit binds every file the child writes, so its replies go to a pipe.
+  const std::string path =
+      "sda_test_serve_efbig_" + std::to_string(::getpid()) + ".wal";
+  std::remove(path.c_str());
+  std::string text;
+  for (int id = 1; id <= 400; ++id) {
+    text += "sub id=" + std::to_string(id) + " at=" + std::to_string(id) +
+            " deadline=5 tree=a@0:1/1\ndone id=" + std::to_string(id) + "\n";
+  }
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{4096, 4096};
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(2);
+    exp::ServeOptions o = options();
+    o.journal_path = path;
+    o.journal_flush_every = 8;  // several good commits before the limit
+    std::istringstream in(text);
+    std::ostringstream out;
+    exp::serve_stream(in, out, o);
+    write_fd(fds[1], out.str());
+    ::_exit(0);
+  }
+  ::close(fds[1]);
+  const std::string stream = read_fd(fds[0]);
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+
+  std::set<std::string> journaled;
+  for (const exp::JournalRecord& r : exp::read_journal(path).records) {
+    if (r.type == 'E' && r.payload.rfind("sub ", 0) == 0) {
+      journaled.insert(r.payload.substr(0, r.payload.find(" at=")));
+    }
+  }
+  EXPECT_LT(journaled.size(), 400u) << "the journal never hit the limit";
+  const std::vector<std::string> out = lines(stream);
+  ASSERT_FALSE(out.empty());
+  std::size_t decisions = 0;
+  for (const std::string& line : out) {
+    const std::size_t at = line.find("\"schema\":\"sda.admit.v1\",\"id\":");
+    if (at == std::string::npos) continue;
+    ++decisions;
+    const std::size_t id_at = line.find("\"id\":") + 5;
+    const std::string id =
+        line.substr(id_at, line.find(',', id_at) - id_at);
+    EXPECT_EQ(journaled.count("sub id=" + id), 1u)
+        << "decision " << id << " left the process without its record";
+  }
+  EXPECT_GT(decisions, 0u) << "no commit succeeded before the limit";
+  EXPECT_NE(out.back().find("\"schema\":\"sda.error.v1\""), std::string::npos)
+      << out.back();
+  EXPECT_NE(out.back().find("\"code\":\"io\""), std::string::npos)
+      << out.back();
+  EXPECT_EQ(count_substr(stream, "sda.serve.summary.v1"), 0u);
   std::remove(path.c_str());
 }
 

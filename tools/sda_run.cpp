@@ -394,6 +394,7 @@ int main(int argc, char** argv) {
       in = &input_file;
     }
     const exp::ServeResult r = exp::serve_stream(*in, std::cout, opts);
+    if (r.journal_failed) return 74;
     return r.errors == 0 ? 0 : 65;
   }
 
