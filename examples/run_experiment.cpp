@@ -14,7 +14,6 @@
 #include "src/exp/csv.hpp"
 #include "src/exp/runner.hpp"
 #include "src/exp/sweep.hpp"
-#include "src/exp/validate.hpp"
 #include "src/metrics/task_class.hpp"
 #include "src/util/flags.hpp"
 #include "src/util/table.hpp"
@@ -138,7 +137,7 @@ int main(int argc, char** argv) {
     }
 
     // Fail fast with every problem listed, not just the first.
-    const auto problems = exp::validate(c);
+    const auto problems = c.validate();
     if (!problems.empty()) {
       for (const auto& p : problems) {
         std::fprintf(stderr, "config error: %s\n", p.c_str());

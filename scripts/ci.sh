@@ -20,8 +20,9 @@
 #   6. sharded PDES smoke — the same baseline run at shards=1 and
 #      shards=4 must report identical replication fingerprints (the
 #      conservative time-window fabric's bit-identity contract), at
-#      zero lookahead and at net_latency=0.5; the sharded run's
-#      sda.run.v1 lines carry the fabric counter block.
+#      zero lookahead, at net_latency=0.5, and with transient faults at
+#      the default retry backoff; the sharded run's sda.run.v1 lines
+#      carry the fabric counter block.
 #   7. sda_run --serve smoke — a scripted submission stream through the
 #      admission front door: every line parses as JSON, N submissions get
 #      exactly N sda.admit.v1 decisions plus one summary, `done` lines for
@@ -160,6 +161,23 @@ for run in runs:
     assert fabric["windows"] > 0 and fabric["records_replayed"] > 0, fabric
 PY
 echo "lookahead smoke ok: net_latency=0.5 shards=4 reproduces shards=1 ($SERIAL_FP)"
+
+# Transient faults at the default (zero) retry backoff: the serial engine
+# resubmits a failed subtask synchronously, the fabric by message, and
+# both must see the node pick its next job first.
+"$BUILD/tools/sda_run" sim_time=2000 reps=2 fault_rate=0.05 shards=1 \
+  > "$SMOKE_DIR/faults_serial.txt"
+"$BUILD/tools/sda_run" sim_time=2000 reps=2 fault_rate=0.05 shards=4 \
+  > "$SMOKE_DIR/faults_sharded.txt"
+SERIAL_FP=$(grep -o "fingerprints:.*" "$SMOKE_DIR/faults_serial.txt")
+SHARDED_FP=$(grep -o "fingerprints:.*" "$SMOKE_DIR/faults_sharded.txt")
+if [[ -z "$SERIAL_FP" || "$SERIAL_FP" != "$SHARDED_FP" ]]; then
+  echo "FAIL: fault_rate=0.05 sharded fingerprints diverge" >&2
+  echo "  shards=1: $SERIAL_FP" >&2
+  echo "  shards=4: $SHARDED_FP" >&2
+  exit 1
+fi
+echo "fault smoke ok: fault_rate=0.05 shards=4 reproduces shards=1 ($SERIAL_FP)"
 
 echo ""
 echo "=== [7/8] sda_run --serve smoke + schema check ==="

@@ -239,10 +239,11 @@ struct ExperimentConfig {
   /// All keys set()/get() understand, in declaration order.
   static std::vector<std::string> known_keys();
 
-  /// All problems with this config (empty = valid): inconsistent shapes
-  /// (node_speeds vs k, n_min > n_max, slack_min > slack_max), negative
-  /// rates, unknown scheduler_policy/placement/service_dist/strategy
-  /// names, ...  Same checks as exp::validate().
+  /// Every problem with this config at once (empty = valid), with
+  /// actionable messages: system shape (k, speeds, scheduler/placement
+  /// names), strategy names, workload ranges (load, frac_local, slack,
+  /// n vs k, stage widths), link modeling, and run control (sim_time,
+  /// replications, warmup).  Defined in validate.cpp.
   std::vector<std::string> validate() const;
 
   /// Throws std::invalid_argument listing every problem when invalid.

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/exp/config.hpp"
-#include "src/exp/validate.hpp"
 #include "src/util/env.hpp"
 
 namespace sda::exp {
@@ -332,14 +331,6 @@ std::vector<std::string> ExperimentConfig::known_keys() {
   out.reserve(fields().size());
   for (const Field& f : fields()) out.emplace_back(f.key);
   return out;
-}
-
-std::vector<std::string> ExperimentConfig::validate() const {
-  return exp::validate(*this);
-}
-
-void ExperimentConfig::validate_or_throw() const {
-  exp::validate_or_throw(*this);
 }
 
 }  // namespace sda::exp

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/exp/validate.hpp"
 #include "src/metrics/collector.hpp"
 
 namespace sda::exp {
@@ -24,7 +23,7 @@ std::vector<SweepPoint> sweep(const ExperimentConfig& base,
   for (double x : xs) {
     ExperimentConfig c = base;
     apply(c, x);
-    validate_or_throw(c);
+    c.validate_or_throw();
     configs.push_back(std::move(c));
   }
 

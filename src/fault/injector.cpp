@@ -8,8 +8,7 @@ FaultInjector::FaultInjector(sim::Engine& engine,
                              std::vector<sched::Node*> nodes,
                              int compute_node_count, FaultPlan plan,
                              util::Rng attempt_rng)
-    : engine_(engine),
-      nodes_(std::move(nodes)),
+    : nodes_(std::move(nodes)),
       compute_node_count_(compute_node_count),
       plan_(std::move(plan)) {
   if (compute_node_count_ < 0 ||
@@ -20,6 +19,7 @@ FaultInjector::FaultInjector(sim::Engine& engine,
   for (const auto* n : nodes_) {
     if (n == nullptr) throw std::invalid_argument("FaultInjector: null node");
   }
+  lane_engines_.assign(nodes_.size(), &engine);
   node_rngs_.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     node_rngs_.push_back(attempt_rng.split());
@@ -59,7 +59,7 @@ void FaultInjector::arm() {
     std::uint64_t* crash_count =
         &crashes_by_node_[static_cast<std::size_t>(c.node)];
     const bool discard = cfg.crash_discards_queue;
-    sim::Engine& e = engine_for(c.node);
+    sim::Engine& e = *lane_engines_[static_cast<std::size_t>(c.node)];
     e.at(c.down_at, [crash_count, node, discard] {
       ++*crash_count;
       node->crash(discard);

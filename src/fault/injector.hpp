@@ -38,9 +38,9 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Sharded mode: schedule node i's crash/recovery events on
-  /// @p engines[i] (its lane's shard engine) instead of the constructor's
-  /// engine.  Must cover every node; call before arm().
+  /// Schedules node i's crash/recovery events on @p engines[i] (its
+  /// lane's engine) instead of the constructor's engine.  Must cover
+  /// every node; call before arm().
   void set_lane_engines(std::vector<sim::Engine*> engines);
 
   /// Schedules the crash plan and installs the fault hooks. Call once,
@@ -66,14 +66,7 @@ class FaultInjector {
     return total;
   }
 
-  sim::Engine& engine_for(int node) noexcept {
-    return lane_engines_.empty() ? engine_
-                                 : *lane_engines_[static_cast<std::size_t>(
-                                       node)];
-  }
-
-  sim::Engine& engine_;
-  std::vector<sim::Engine*> lane_engines_;  // empty = serial mode
+  std::vector<sim::Engine*> lane_engines_;  // one per node
   std::vector<sched::Node*> nodes_;
   int compute_node_count_;
   FaultPlan plan_;

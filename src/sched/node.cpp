@@ -115,17 +115,25 @@ void Node::fail_service() {
   current_ = nullptr;
   const sim::Time elapsed = engine_.now() - service_started_;
   busy_accum_ += elapsed;  // the work invested in the failed attempt is lost
-  fail_task(std::move(victim));
+  mark_failed(*victim);
+  // Pick the next job before the failure handler runs: an immediate retry
+  // then joins the queue behind that pick, exactly as it does when it
+  // arrives by message on the sharded fabric.
   try_start();
+  if (on_failure_) on_failure_(victim);
+}
+
+void Node::mark_failed(task::SimpleTask& t) {
+  disarm_abort_timer(t);
+  t.state = TaskState::kFailed;
+  t.finished_at = engine_.now();
+  note_population_change(-1);
+  ++failed_;
+  notify(Event::kFailed, t);
 }
 
 void Node::fail_task(TaskPtr t) {
-  disarm_abort_timer(*t);
-  t->state = TaskState::kFailed;
-  t->finished_at = engine_.now();
-  note_population_change(-1);
-  ++failed_;
-  notify(Event::kFailed, *t);
+  mark_failed(*t);
   if (on_failure_) on_failure_(t);
 }
 

@@ -55,7 +55,9 @@ class Node {
   /// Externally requested aborts (Node::abort) do not trigger this.
   using AbortHandler = util::UniqueFn<void(const TaskPtr&)>;
   /// Called when a fault kills a task (state kFailed): a transient
-  /// service failure from the fault hook, or a node crash.
+  /// service failure from the fault hook, or a node crash.  After a
+  /// transient failure the node has already picked its next job when the
+  /// handler runs.
   using FailureHandler = util::UniqueFn<void(const TaskPtr&)>;
 
   /// Fault-injection verdict for one service attempt (see set_fault_hook).
@@ -193,6 +195,8 @@ class Node {
   void start_service(TaskPtr t);
   void finish_service();
   void fail_service();
+  /// Failed-task bookkeeping and the kFailed notification, no handler.
+  void mark_failed(task::SimpleTask& t);
   void fail_task(TaskPtr t);
   void preempt_current();
   void local_abort(const TaskPtr& t);

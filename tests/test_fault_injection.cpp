@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -51,6 +52,31 @@ TEST(NodeFaults, HookCanFailAnAttemptPartway) {
   EXPECT_EQ(n.completed(), 0u);
   // The 1.5 units burned on the doomed attempt still count as busy time.
   EXPECT_DOUBLE_EQ(n.busy_time(), 1.5);
+}
+
+// An immediate retry from the failure handler queues behind the job the
+// node picks next, even when the retry's deadline is earlier: the node
+// starts that job before the handler runs (the order a retry arriving by
+// fabric message sees).
+TEST(NodeFaults, NextJobStartsBeforeTheFailureHandlerRuns) {
+  sim::Engine e;
+  Node n(e, edf(), cfg());
+  std::vector<std::uint64_t> done;
+  n.set_completion_handler([&](const TaskPtr& t) { done.push_back(t->id); });
+  n.set_failure_handler([&](const TaskPtr& t) {
+    EXPECT_EQ(n.queue_length(), 0u);  // task 2 already in service
+    n.submit(t);
+  });
+  n.set_fault_hook([](const task::SimpleTask& t, double) {
+    Node::ServiceFault f;
+    if (t.id == 1 && t.service_attempts == 1) f.fail_after = 1.5;
+    return f;
+  });
+  n.submit(make_local_task(1, 0, 0.0, 4.0, 5.0));
+  n.submit(make_local_task(2, 0, 0.0, 2.0, 10.0));
+  e.run();
+  EXPECT_EQ(done, (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_DOUBLE_EQ(e.now(), 7.5);  // 1.5 lost + 2 for task 2 + 4 for task 1
 }
 
 TEST(NodeFaults, HookExtraDelayStretchesService) {

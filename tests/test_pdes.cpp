@@ -1,9 +1,9 @@
 // Conservative time-window PDES (src/sim/fabric.*, exp/runner_sharded):
-// the tentpole contract is that one replication's determinism fingerprint
-// is bit-identical at every shard count — shards=1 (the original serial
-// engine) and shards in {2, 4, 8} (the message fabric) must produce the
-// same trace, for every PSP x SSP pair, with and without faults, at zero
-// and nonzero lookahead.  Also unit-covers the fabric's building blocks
+// the contract is that one replication's determinism fingerprint is
+// bit-identical at every shard count — shards=1 (the serial engine) and
+// shards in {2, 4, 8} (the message fabric) must produce the same trace and
+// the same sda.run.v1 record, for every PSP x SSP pair, with and without
+// faults and admission, at zero and nonzero lookahead.  Also unit-covers the fabric's building blocks
 // (PathKey ordering, CrossShardQueue, NodeStatusBoard) and the order in
 // which shard 0 replays sink records (exact ties, zero-lookahead
 // leftovers).
@@ -14,10 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/exp/config.hpp"
+#include "src/exp/json_export.hpp"
 #include "src/exp/runner.hpp"
 #include "src/metrics/trace.hpp"
 #include "src/sim/fabric.hpp"
@@ -33,29 +35,31 @@ struct RunSummary {
   std::uint64_t locals_generated = 0;
   std::uint64_t globals_generated = 0;
   std::uint64_t globals_completed = 0;
-  std::uint64_t globals_aborted = 0;
-  std::uint64_t node_crashes = 0;
-  std::uint64_t transient_failures = 0;
-  std::uint64_t fault_retries = 0;
+  /// The whole sda.run.v1 line (diagnostics, admission, per-class counts
+  /// and timings, per-node counters, distributions) minus the two members
+  /// that are not shard-invariant: diag.events_fired (the fabric fires one
+  /// extra event per cross-lane message) is zeroed and the fabric counter
+  /// block is dropped.  The *trace* is shard-invariant, and so is every
+  /// other member of the run record.
+  std::string record;
 };
 
-/// One replication at the given shard count; everything compared across
-/// shard counts must live in here.  (events_fired is deliberately absent:
-/// the fabric schedules one extra event per cross-lane message, so the
-/// raw event count is not shard-invariant — the *trace* is.)
+/// One replication at the given shard count.
 RunSummary run_at(ExperimentConfig c, int shards, std::uint64_t seed) {
   c.shards = shards;
+  c.distributions = true;  // passive: puts the quantiles in the record too
   metrics::Tracer tracer(1);  // rolling fingerprint only
-  const exp::RunResult r = exp::run_once(c, seed, &tracer);
+  exp::RunResult r = exp::run_once(c, seed, &tracer);
   RunSummary s;
   s.fingerprint = tracer.fingerprint();
   s.locals_generated = r.locals_generated;
   s.globals_generated = r.globals_generated;
   s.globals_completed = r.globals_completed;
-  s.globals_aborted = r.globals_aborted;
-  s.node_crashes = r.node_crashes;
-  s.transient_failures = r.transient_failures;
-  s.fault_retries = r.fault_retries;
+  r.events_fired = 0;
+  r.fabric.reset();
+  std::ostringstream os;
+  exp::write_run_json_line(c, 0, seed, s.fingerprint, r, os);
+  s.record = os.str();
   return s;
 }
 
@@ -69,13 +73,7 @@ void expect_shard_invariant(const ExperimentConfig& c, std::uint64_t seed,
     const RunSummary got = run_at(c, s, seed);
     EXPECT_EQ(got.fingerprint, ref.fingerprint)
         << label << ": shards=" << s << " vs shards=" << shard_counts.front();
-    EXPECT_EQ(got.locals_generated, ref.locals_generated) << label << " s=" << s;
-    EXPECT_EQ(got.globals_generated, ref.globals_generated) << label << " s=" << s;
-    EXPECT_EQ(got.globals_completed, ref.globals_completed) << label << " s=" << s;
-    EXPECT_EQ(got.globals_aborted, ref.globals_aborted) << label << " s=" << s;
-    EXPECT_EQ(got.node_crashes, ref.node_crashes) << label << " s=" << s;
-    EXPECT_EQ(got.transient_failures, ref.transient_failures) << label << " s=" << s;
-    EXPECT_EQ(got.fault_retries, ref.fault_retries) << label << " s=" << s;
+    EXPECT_EQ(got.record, ref.record) << label << " s=" << s;
   }
 }
 
@@ -131,6 +129,20 @@ TEST(PdesDeterminism, SeededFaultsAndRecovery) {
   expect_shard_invariant(c, 4242, {1, 2, 4, 8}, "faults");
 }
 
+// The default backoff retries a failed subtask at the instant it failed.
+// The node must pick its next job before that retry reaches it, on the
+// serial engine (where the failure handler resubmits synchronously) as on
+// the fabric (where the retry arrives by message).
+TEST(PdesDeterminism, SeededFaultsWithImmediateRetry) {
+  ExperimentConfig c = pdes_base();
+  c.fault_rate = 0.05;
+  c.crash_mean_uptime = 120.0;
+  c.crash_mean_downtime = 15.0;
+  c.pm_abort = core::PmAbortMode::kRealDeadline;
+  ASSERT_EQ(c.retry_backoff_base, 0.0);
+  expect_shard_invariant(c, 4242, {1, 2, 4, 8}, "faults, zero backoff");
+}
+
 TEST(PdesDeterminism, GraphWorkloadWithLinksAndMessageFaults) {
   ExperimentConfig c = exp::graph_config();
   c.k = 6;
@@ -140,6 +152,19 @@ TEST(PdesDeterminism, GraphWorkloadWithLinksAndMessageFaults) {
   c.sim_time = 300.0;
   c.replications = 1;
   expect_shard_invariant(c, 99, {1, 2, 4, 8}, "graph+links");
+}
+
+// --- admission --------------------------------------------------------------
+
+// Overload with the admission gate on: the gate lives on the control lane,
+// and its counters and final state are part of the compared record.
+TEST(PdesDeterminism, AdmissionUnderOverload) {
+  ExperimentConfig c = pdes_base();
+  c.admission = true;
+  c.load = 2.5;
+  c.frac_local = 0.0;
+  c.sim_time = 400.0;
+  expect_shard_invariant(c, 4242, {1, 2, 4}, "admission overload");
 }
 
 // --- lookahead -------------------------------------------------------------
