@@ -30,7 +30,7 @@ int main() {
   for (const char* psp : {"ud", "div-1", "gf"}) {
     exp::ExperimentConfig c = base;
     c.psp = psp;
-    c.tardiness_histograms = true;
+    c.distributions = true;
     const exp::RunResult r = exp::run_once(c, env.seed);
     const struct {
       const char* label;
@@ -40,8 +40,10 @@ int main() {
                    {"global", metrics::global_class(4)}};
     for (const auto& cls : classes) {
       const metrics::ClassTimings t = r.collector.timings(cls.cls);
-      const metrics::TardinessProfile q =
-          r.collector.tardiness_profile(cls.cls);
+      const metrics::DistributionSet* d =
+          r.collector.class_distributions(cls.cls);
+      const metrics::Quantiles q =
+          d ? metrics::summarize(d->tardiness) : metrics::Quantiles{};
       table.add_row({psp, cls.label, util::fmt(t.response.mean(), 2),
                      util::fmt(t.response.max(), 1),
                      util::fmt(t.tardiness.mean(), 3), util::fmt(q.p90, 2),

@@ -26,8 +26,9 @@
 #   7. sda_run --serve smoke — a scripted submission stream through the
 #      admission front door: every line parses as JSON, N submissions get
 #      exactly N sda.admit.v1 decisions plus one summary, `done` lines for
-#      already-retired ids get structured sda.error.v1 replies, and a
-#      rerun is byte-identical (decision determinism).
+#      already-retired ids get structured sda.error.v1 replies, a
+#      rerun is byte-identical (decision determinism), and an
+#      admission_util_bound outside (0, 1] is a usage error (exit 64).
 #   8. socket front door — spawn `--serve --listen 127.0.0.1:0 --journal`,
 #      submit over TCP, SIGTERM drain, then verify the drain summary's
 #      journal fingerprint against an offline `--recover-check` replay;
@@ -254,6 +255,19 @@ print(f"serve smoke ok: {n_subs} submissions -> {n_subs} decisions "
       f"{summary['shed']} shed, {len(errors)} answered errors), "
       f"reruns byte-identical")
 PY
+
+# Serving builds an admission controller even without admission=1, so a
+# bad admission_* key must be a usage error (64) naming the key, not an
+# abort.  Above 1 the density bound no longer implies EDF feasibility.
+for bound in 0 1.5; do
+  rc=0; "$BUILD/tools/sda_run" --serve --input "$SMOKE_DIR/serve_input.txt" \
+    admission_util_bound=$bound > /dev/null 2> "$SMOKE_DIR/bad_bound.err" || rc=$?
+  [ "$rc" -eq 64 ] || { echo "FAIL: admission_util_bound=$bound exit $rc, expected 64"; exit 1; }
+  grep -q "util_bound" "$SMOKE_DIR/bad_bound.err" || {
+    echo "FAIL: admission_util_bound=$bound error does not name util_bound"; exit 1;
+  }
+done
+echo "bad admission_util_bound ok: 0 and 1.5 exit 64 naming util_bound"
 
 echo ""
 echo "=== [8/8] socket front door: TCP smoke, SIGTERM drain, replay check ==="

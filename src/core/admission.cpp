@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -15,8 +14,8 @@ namespace sda::core {
 
 namespace {
 
-/// Windows and completion times are sums of doubles; a job finishing
-/// exactly at its deadline must not fail by one ulp.
+/// Densities are sums of quotients of doubles; a ledger that fills its
+/// node exactly must not fail by one ulp.
 constexpr double kEps = 1e-9;
 
 /// A dead window still carrying demand can contribute unbounded
@@ -24,68 +23,25 @@ constexpr double kEps = 1e-9;
 /// by zero.
 constexpr double kMinWindow = 1e-12;
 
+/// Adds @p j's density, its release clamped to @p now, to @p density.
+/// False when the job still has demand but its window is gone.
+bool add_density(const LedgerJob& j, double now, double& density) {
+  if (j.demand <= 0.0) return true;
+  const double window = j.deadline - std::max(j.release, now);
+  if (window <= 0.0) return false;
+  density += j.demand / std::max(window, kMinWindow);
+  return true;
+}
+
 }  // namespace
 
 bool utilization_test(const std::vector<LedgerJob>& jobs, double now,
                       double bound) {
   double density = 0.0;
   for (const LedgerJob& j : jobs) {
-    if (j.demand <= 0.0) continue;
-    const double release = std::max(j.release, now);
-    const double window = j.deadline - release;
-    if (window <= 0.0) return false;  // demand left, window gone
-    density += j.demand / std::max(window, kMinWindow);
+    if (!add_density(j, now, density)) return false;
   }
   return density <= bound + kEps;
-}
-
-namespace {
-
-/// The completion-time walk, consuming @p jobs: releases are clamped to
-/// @p now, demand is spent as remaining work, and a finished job is
-/// erased in place.  Erasing keeps the survivors' order, so ties on the
-/// deadline go to the earliest job in ledger order.
-bool completion_time_walk(std::vector<LedgerJob>& jobs, double now) {
-  std::erase_if(jobs, [](const LedgerJob& j) { return j.demand <= 0.0; });
-  for (LedgerJob& j : jobs) j.release = std::max(j.release, now);
-
-  double t = now;
-  while (!jobs.empty()) {
-    // Earliest deadline among released jobs runs; track the next release
-    // so a future arrival can preempt it.
-    const std::size_t n = jobs.size();
-    std::size_t best = n;
-    double next_release = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (jobs[i].release <= t + kEps) {
-        if (best == n || jobs[i].deadline < jobs[best].deadline) best = i;
-      } else {
-        next_release = std::min(next_release, jobs[i].release);
-      }
-    }
-    if (best == n) {  // idle until the next release
-      t = next_release;
-      continue;
-    }
-    LedgerJob& job = jobs[best];
-    const double completion = t + job.demand;
-    if (next_release < completion) {
-      job.demand -= next_release - t;
-      t = next_release;
-      continue;
-    }
-    t = completion;
-    if (t > job.deadline + kEps) return false;
-    jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(best));
-  }
-  return true;
-}
-
-}  // namespace
-
-bool completion_time_test(const std::vector<LedgerJob>& jobs, double now) {
-  std::vector<LedgerJob> work = jobs;
-  return completion_time_walk(work, now);
 }
 
 const char* to_string(AdmissionDecision d) noexcept {
@@ -113,8 +69,11 @@ AdmissionController::AdmissionController(AdmissionConfig config)
   if (config_.node_count < 1) {
     throw std::invalid_argument("AdmissionController: node_count < 1");
   }
-  if (config_.util_bound <= 0.0) {
-    throw std::invalid_argument("AdmissionController: util_bound <= 0");
+  // Above 1 the density bound no longer implies EDF feasibility, and it
+  // is the only test the controller runs.
+  if (!(config_.util_bound > 0.0 && config_.util_bound <= 1.0)) {
+    throw std::invalid_argument(
+        "AdmissionController: util_bound outside (0, 1]");
   }
   if (config_.exit_degraded > config_.enter_degraded ||
       config_.exit_shedding > config_.enter_shedding ||
@@ -243,16 +202,18 @@ bool AdmissionController::feasible_with(double now) {
                            ? config_.util_bound * (1.0 - config_.shed_headroom)
                            : config_.util_bound;
   for (const int site : distinct_sites_) {
-    const std::vector<LedgerJob>& ledger =
-        ledgers_[static_cast<std::size_t>(site)];
-    merged_.assign(ledger.begin(), ledger.end());
+    // The site's ledger, then the candidate's jobs there: the order
+    // utilization_test would sum the two concatenated.
+    double density = 0.0;
+    for (const LedgerJob& j : ledgers_[static_cast<std::size_t>(site)]) {
+      if (!add_density(j, now, density)) return false;
+    }
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
-      if (sites_[i] == site) merged_.push_back(jobs_[i]);
+      if (sites_[i] == site && !add_density(jobs_[i], now, density)) {
+        return false;
+      }
     }
-    if (!utilization_test(merged_, now, bound) ||
-        !completion_time_walk(merged_, now)) {
-      return false;
-    }
+    if (!(density <= bound + kEps)) return false;
   }
   return true;
 }
@@ -345,16 +306,23 @@ AdmissionOutcome shed_outcome(OverloadState state, double pressure,
 
 }  // namespace
 
+AdmissionOutcome AdmissionController::first_attempt(const task::TreeNode& tree,
+                                                    double now,
+                                                    double deadline,
+                                                    std::uint64_t ticket) {
+  ++stats_.submitted;
+  refresh(now);
+  if (negative_slack(tree, now, deadline)) {
+    return shed_outcome(state_, pressure_, deadline, "negative-slack");
+  }
+  return try_admit(tree, now, deadline, ticket);
+}
+
 AdmissionOutcome AdmissionController::decide(const task::TreeNode& tree,
                                              double now, double deadline,
                                              std::uint64_t ticket) {
   util::RoleGuard own(owner_);
-  ++stats_.submitted;
-  refresh(now);
-  AdmissionOutcome out =
-      negative_slack(tree, now, deadline)
-          ? shed_outcome(state_, pressure_, deadline, "negative-slack")
-          : try_admit(tree, now, deadline, ticket);
+  AdmissionOutcome out = first_attempt(tree, now, deadline, ticket);
   record(stats_, out);
   return out;
 }
@@ -362,16 +330,8 @@ AdmissionOutcome AdmissionController::decide(const task::TreeNode& tree,
 AdmissionController::SubmitResult AdmissionController::submit(
     task::TreePtr tree, double now, double deadline, std::uint64_t ticket) {
   util::RoleGuard own(owner_);
-  ++stats_.submitted;
-  refresh(now);
   SubmitResult result;
-  if (negative_slack(*tree, now, deadline)) {
-    result.outcome =
-        shed_outcome(state_, pressure_, deadline, "negative-slack");
-    record(stats_, result.outcome);
-    return result;
-  }
-  result.outcome = try_admit(*tree, now, deadline, ticket);
+  result.outcome = first_attempt(*tree, now, deadline, ticket);
   if (result.outcome.decision != AdmissionDecision::kReject) {
     record(stats_, result.outcome);
     return result;
@@ -394,29 +354,17 @@ AdmissionController::SubmitResult AdmissionController::submit(
 std::vector<std::pair<std::uint64_t, AdmissionOutcome>>
 AdmissionController::pump(double now) {
   util::RoleGuard own(owner_);
-  std::vector<std::pair<std::uint64_t, AdmissionOutcome>> resolved;
-  if (queue_.empty()) return resolved;
-  refresh(now);
-  while (!queue_.empty()) {
-    Pending& head = queue_.front();
-    AdmissionOutcome out;
-    if (negative_slack(*head.tree, now, head.deadline)) {
-      out = shed_outcome(state_, pressure_, head.deadline,
-                         "queued-slack-expired");
-    } else {
-      out = try_admit(*head.tree, now, head.deadline, head.ticket);
-      if (out.decision == AdmissionDecision::kReject) break;  // still parked
-    }
-    record(stats_, out);
-    resolved.emplace_back(head.ticket, std::move(out));
-    queue_.pop_front();
-  }
-  return resolved;
+  return drain(now, /*end_of_stream=*/false);
 }
 
 std::vector<std::pair<std::uint64_t, AdmissionOutcome>>
 AdmissionController::flush(double now) {
   util::RoleGuard own(owner_);
+  return drain(now, /*end_of_stream=*/true);
+}
+
+std::vector<std::pair<std::uint64_t, AdmissionOutcome>>
+AdmissionController::drain(double now, bool end_of_stream) {
   std::vector<std::pair<std::uint64_t, AdmissionOutcome>> resolved;
   if (queue_.empty()) return resolved;
   refresh(now);
@@ -429,6 +377,7 @@ AdmissionController::flush(double now) {
     } else {
       out = try_admit(*head.tree, now, head.deadline, head.ticket);
       if (out.decision == AdmissionDecision::kReject) {
+        if (!end_of_stream) break;  // still parked
         // End of stream: there will be no later pump to admit it.
         out.decision = AdmissionDecision::kShed;
         out.reason = "flushed";

@@ -3,12 +3,12 @@
 // The paper assigns subtask deadlines for a fixed task set; a
 // long-running deadline-assignment service must instead survive
 // arbitrary offered load.  This module gates every submission through
-// two per-node feasibility tests over a ledger of already-admitted work,
-// and wraps the tests in an overload state machine that degrades
-// gracefully instead of collapsing:
+// one per-node feasibility test, the density bound, over a ledger of
+// already-admitted work, and wraps the test in an overload state machine
+// that degrades gracefully instead of collapsing:
 //
-//   normal    — both tests; infeasible submissions are rejected
-//               (or parked in a bounded retry queue, serve mode).
+//   normal    — infeasible submissions are rejected (or parked in a
+//               bounded retry queue, serve mode).
 //   degraded  — a submission that fails with its own deadline is
 //               retried with a stretched one (the imprecise-computation
 //               playbook: deliver late-but-bounded rather than drop).
@@ -51,25 +51,28 @@ struct LedgerJob {
   double demand = 0.0;        ///< pex
 };
 
-// --- per-node feasibility tests (pure functions) ------------------------
+// --- the per-node feasibility test (a pure function) ---------------------
 //
-// Both decide feasibility of one preemptive-EDF node running the given
-// jobs, under the ledger's full-demand assumption (work already executed
-// is not credited — conservative).  Releases before @p now are clamped to
+// Decides feasibility of one preemptive-EDF node running the given jobs,
+// under the ledger's full-demand assumption (work already executed is
+// not credited — conservative).  Releases before @p now are clamped to
 // @p now: work cannot run in the past.  A candidate is admitted only when
-// every node it touches passes both.
+// every node it touches passes.
 
-/// Density bound: sum C_i / (d_i - r_i) <= bound.  Each job fits inside
-/// its own window's fluid share, so total share <= 1 is sufficient for
-/// preemptive EDF.  Cheapest and most conservative.
+/// Density bound: sum C_i / (d_i - r_i) <= bound, for a bound in (0, 1].
+/// Running each job at the constant rate C_i / (d_i - r_i) across its own
+/// window finishes it exactly at its deadline, and the rates of the jobs
+/// live at any instant sum to at most the density, so with density <= 1
+/// that fluid schedule fits on one processor.  Any interval [t1, t2]
+/// then holds at most t2 - t1 of demand from jobs released and due
+/// inside it — the processor-demand criterion — under which preemptive
+/// EDF meets every deadline.  Sufficient, not necessary: EDF can finish
+/// a short-window job early and still fit work the bound rejects.  The
+/// comparison carries a 1e-9 tolerance, so a density in (1, 1 + 1e-9]
+/// passes; sums of double quotients that fill the node exactly land
+/// there by rounding.
 bool utilization_test(const std::vector<LedgerJob>& jobs, double now,
                       double bound);
-
-/// Preemptive-EDF completion-time walk from @p now: simulates EDF over
-/// the job set (earliest deadline among released jobs runs; preempted
-/// at releases) and checks every job completes by its deadline.  Exact
-/// for a single node under the full-demand assumption.
-bool completion_time_test(const std::vector<LedgerJob>& jobs, double now);
 
 // --- the admission controller -------------------------------------------
 
@@ -91,7 +94,7 @@ struct AdmissionConfig {
   std::string psp = "ud";
   std::string ssp = "ud";
 
-  double util_bound = 1.0;  ///< density budget per node
+  double util_bound = 1.0;  ///< density budget per node, in (0, 1]
 
   // Overload state machine: pressure = EWMA of max per-node density
   // normalized by util_bound, updated on every decision event.
@@ -197,7 +200,7 @@ class AdmissionController {
   void on_finished(std::uint64_t ticket);
 
   /// Reservation-update path: retires only leaf @p leaf of @p ticket
-  /// (that subtask finished), shrinking the completion-time ledgers
+  /// (that subtask finished), shrinking the node ledgers
   /// immediately instead of waiting for whole-run retirement.  Returns
   /// the number of ledger entries removed (0 when the reservation
   /// already expired — not an error for an admitted run).
@@ -251,14 +254,23 @@ class AdmissionController {
   void refresh(double now) SDA_REQUIRES(owner_);
   double raw_pressure() const SDA_REQUIRES(owner_);
 
+  /// decide() and submit() up to their verdict: counts the submission,
+  /// refreshes, sheds negative slack, else try_admit().  Records nothing.
+  AdmissionOutcome first_attempt(const task::TreeNode& tree, double now,
+                                 double deadline, std::uint64_t ticket)
+      SDA_REQUIRES(owner_);
+  /// pump() and flush(): retries the queue head until one stays
+  /// infeasible; with @p end_of_stream such a head is shed ("flushed")
+  /// and the loop goes on until the queue is empty.
+  std::vector<std::pair<std::uint64_t, AdmissionOutcome>> drain(
+      double now, bool end_of_stream) SDA_REQUIRES(owner_);
   /// State-dependent admission attempt (no queueing, no pressure
   /// refresh).  On success the candidate's jobs are in the ledger.
   AdmissionOutcome try_admit(const task::TreeNode& tree, double now,
                              double deadline, std::uint64_t ticket)
       SDA_REQUIRES(owner_);
-  /// Runs the density bound and the completion-time walk on every node
-  /// the candidate (jobs_, sites_) touches, its jobs merged into that
-  /// node's ledger.
+  /// Runs the density bound on every node the candidate (jobs_, sites_)
+  /// touches: that node's ledger plus the candidate's jobs there.
   bool feasible_with(double now) SDA_REQUIRES(owner_);
   /// Plans the candidate and fills jobs_, sites_ and @p plan with its
   /// per-leaf jobs, exec nodes and absolute assignments.
@@ -290,8 +302,6 @@ class AdmissionController {
   std::vector<LedgerJob> jobs_ SDA_GUARDED_BY(owner_);  ///< one per leaf
   std::vector<int> sites_ SDA_GUARDED_BY(owner_);       ///< node per job
   std::vector<int> distinct_sites_ SDA_GUARDED_BY(owner_);
-  /// One node's ledger plus the candidate's jobs there.
-  std::vector<LedgerJob> merged_ SDA_GUARDED_BY(owner_);
 };
 
 }  // namespace sda::core

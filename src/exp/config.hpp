@@ -95,10 +95,6 @@ struct ExperimentConfig {
   /// "least-queued" (extension ablation).  kParallel workloads only.
   std::string placement = "uniform";
 
-  /// Collect per-class tardiness histograms (P50/P90/P99 in RunResult's
-  /// collector); small extra cost, off by default.
-  bool tardiness_histograms = false;
-
   /// Collect log-bucketed response-time/tardiness distributions per task
   /// class *and per node* (P50/P90/P99/P99.9, mergeable across
   /// replications — see metrics::DistributionSet).  Off by default; the
@@ -211,6 +207,12 @@ struct ExperimentConfig {
   /// The admission-controller config implied by the admission_* fields
   /// (node_count = k, strategies = psp/ssp).
   core::AdmissionConfig admission_config() const;
+
+  /// Problems with the admission_* fields, found by building the
+  /// controller they configure.  validate() reports them when
+  /// admission=1; serving and journal recovery build a controller either
+  /// way and must check them themselves.  Defined in validate.cpp.
+  std::vector<std::string> validate_admission() const;
 
   /// Expected total execution demand of one global task (for the load
   /// equations): E[n]/mu_subtask for kParallel, sum(widths)/mu_subtask for

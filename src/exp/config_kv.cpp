@@ -238,7 +238,6 @@ const std::vector<Field>& fields() {
             }},
       SDA_KV_DOUBLE(subtask_exec_spread),
       SDA_KV_STRING(placement),
-      SDA_KV_BOOL(tardiness_histograms),
       SDA_KV_BOOL(distributions),
       // --- faults ---------------------------------------------------------
       SDA_KV_DOUBLE(fault_rate),

@@ -161,7 +161,6 @@ RunResult run_system(const ExperimentConfig& config, std::uint64_t seed,
   // --- metrics and handlers ----------------------------------------------------
   metrics::Collector collector;
   collector.set_warmup(config.warmup_fraction * config.sim_time);
-  if (config.tardiness_histograms) collector.enable_tardiness_histograms();
   if (config.distributions) collector.enable_distributions();
   wiring.set_sinks(&collector, tracer);
 

@@ -199,7 +199,7 @@ std::optional<std::uint64_t> ServeSession::handle_line_impl(
     if (is_live) {
       if (line.has_leaf) {
         // Partial completion: retire one leaf's reservation, shrinking
-        // the completion-time ledgers immediately.  The run stays live
+        // the node ledgers immediately.  The run stays live
         // until a whole-run done retires the rest.
         controller_.on_leaf_finished(line.id, line.leaf);
       } else {

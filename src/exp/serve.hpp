@@ -12,7 +12,7 @@
 // with bound nodes and demands ("[a@0:2 || b@1:1.5]").  `done` retires
 // an admitted run's ledger reservations early; `done ... leaf=<k>`
 // retires just that leaf's reservation (partial completion), shrinking
-// the completion-time ledgers immediately.  Both are the moments parked
+// the node ledgers immediately.  Both are the moments parked
 // submissions get retried.
 //
 // The protocol engine is ServeSession: transport-independent, one line

@@ -15,6 +15,17 @@
 
 namespace sda::exp {
 
+std::vector<std::string> ExperimentConfig::validate_admission() const {
+  try {
+    // The controller's constructor validates the bound, thresholds,
+    // stretch, and headroom; borrow its checks.
+    (void)core::AdmissionController(admission_config());
+  } catch (const std::exception& e) {
+    return {e.what()};
+  }
+  return {};
+}
+
 std::vector<std::string> ExperimentConfig::validate() const {
   const ExperimentConfig& c = *this;
   std::vector<std::string> problems;
@@ -137,13 +148,7 @@ std::vector<std::string> ExperimentConfig::validate() const {
   if (c.global_burst_factor < 1.0) bad("global_burst_factor must be >= 1");
   if (c.global_burst_cycle <= 0.0) bad("global_burst_cycle must be positive");
   if (c.admission) {
-    try {
-      // The controller's constructor re-validates the bound, thresholds,
-      // stretch, and headroom; borrow its checks.
-      (void)core::AdmissionController(c.admission_config());
-    } catch (const std::exception& e) {
-      bad(e.what());
-    }
+    for (const std::string& p : c.validate_admission()) bad(p);
     if (c.global_kind != GlobalKind::kParallel) {
       bad("admission=1 currently supports global_kind=parallel only");
     }

@@ -61,15 +61,6 @@ void Collector::record(int cls, double arrival, bool missed, bool aborted,
   ClassTimings& t = timings_[cls];
   if (response >= 0.0) t.response.add(response);
   t.tardiness.add(tardiness);
-  if (histograms_enabled_) {
-    auto it = tardiness_hist_.find(cls);
-    if (it == tardiness_hist_.end()) {
-      it = tardiness_hist_
-               .emplace(cls, util::Histogram(0.0, hist_max_, hist_buckets_))
-               .first;
-    }
-    it->second.add(tardiness);
-  }
   if (distributions_on_) {
     auto observe = [&](DistributionSet& d) {
       if (response >= 0.0) d.response.add(response);
@@ -78,24 +69,6 @@ void Collector::record(int cls, double arrival, bool missed, bool aborted,
     observe(class_dists_[cls]);
     if (node >= 0) observe(node_dists_[node]);
   }
-}
-
-void Collector::enable_tardiness_histograms(double max_tardiness,
-                                            std::size_t buckets) {
-  histograms_enabled_ = true;
-  hist_max_ = max_tardiness;
-  hist_buckets_ = buckets;
-}
-
-TardinessProfile Collector::tardiness_profile(int cls) const {
-  TardinessProfile p;
-  auto it = tardiness_hist_.find(cls);
-  if (it == tardiness_hist_.end()) return p;
-  p.enabled = true;
-  p.p50 = it->second.quantile(0.50);
-  p.p90 = it->second.quantile(0.90);
-  p.p99 = it->second.quantile(0.99);
-  return p;
 }
 
 void Collector::enable_distributions() { distributions_on_ = true; }

@@ -17,7 +17,6 @@
 #include "src/metrics/percentile.hpp"
 #include "src/metrics/task_class.hpp"
 #include "src/task/task.hpp"
-#include "src/util/histogram.hpp"
 #include "src/util/stats.hpp"
 
 namespace sda::metrics {
@@ -50,15 +49,6 @@ struct ClassCounts {
 struct ClassTimings {
   util::RunningStat response;
   util::RunningStat tardiness;
-};
-
-/// Optional per-class tardiness distribution (see
-/// Collector::enable_tardiness_histograms).
-struct TardinessProfile {
-  bool enabled = false;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
 };
 
 /// Log-bucketed response-time + tardiness pair kept per task class and per
@@ -102,15 +92,6 @@ class Collector {
 
   /// Timing profile for one class (empty stats when never seen).
   ClassTimings timings(int cls) const;
-
-  /// Turns on per-class tardiness histograms over [0, max_tardiness) with
-  /// the given resolution; call before the run starts.
-  void enable_tardiness_histograms(double max_tardiness = 50.0,
-                                   std::size_t buckets = 500);
-
-  /// Tardiness quantiles for a class; `enabled` is false when histograms
-  /// were not enabled or the class was never seen.
-  TardinessProfile tardiness_profile(int cls) const;
 
   // --- log-bucketed distribution telemetry --------------------------------
   /// Turns on per-class *and per-node* log-bucketed response/tardiness
@@ -157,10 +138,6 @@ class Collector {
   std::uint64_t shed_runs_ = 0;
   std::map<int, ClassCounts> by_class_;
   std::map<int, ClassTimings> timings_;
-  bool histograms_enabled_ = false;
-  double hist_max_ = 50.0;
-  std::size_t hist_buckets_ = 500;
-  std::map<int, util::Histogram> tardiness_hist_;
   bool distributions_on_ = false;
   std::map<int, DistributionSet> class_dists_;
   std::map<int, DistributionSet> node_dists_;

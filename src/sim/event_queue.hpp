@@ -13,7 +13,7 @@
 //    16-byte heap entry remains, skimmed away when it reaches the root;
 //  * steady-state operation is allocation-free: freed slots are recycled
 //    through a free list and callables with small captures live inline in
-//    their slot (see inline_fn.hpp).
+//    their slot (see util/unique_fn.hpp).
 //
 // Cache discipline: a heap entry is 16 bytes (time + packed sequence/slot
 // word), a slot is exactly one 64-byte cache line, and slots live in
@@ -84,6 +84,7 @@ class SlotPool {
     EventFn fn;
     std::uint64_t key = ~std::uint64_t{0};
   };
+  static_assert(sizeof(Slot) == 64, "an event slot must be one cache line");
 
   static constexpr std::uint32_t entry_slot(std::uint64_t key) noexcept {
     return static_cast<std::uint32_t>(key) & kSlotMask;

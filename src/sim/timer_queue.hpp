@@ -24,14 +24,18 @@
 #include <string>
 #include <utility>
 
-#include "src/sim/inline_fn.hpp"
 #include "src/util/registry.hpp"
+#include "src/util/unique_fn.hpp"
 
 namespace sda::sim {
 
 /// Simulation timestamps. The paper's unit is the mean local-task execution
 /// time (mu_local = 1).
 using Time = double;
+
+/// Move-only callable for simulation events: captures up to 48 bytes
+/// live inline, so scheduling an event does not allocate.
+using InlineFn = util::UniqueFn<void()>;
 
 /// Callback executed when an event fires.
 using EventFn = InlineFn;

@@ -1,23 +1,22 @@
-// Small-buffer-optimized move-only callable with an arbitrary signature.
-//
-// This is sim::InlineFn's storage scheme (inline buffer for small
-// nothrow-movable captures, one heap cell as fallback, move-only
-// semantics) generalized from void() to any R(Args...).  It is the
-// owning counterpart to util::FunctionRef: use it wherever a callback is
-// *stored* — node completion/abort/failure handlers, observers, fault
-// hooks, the process manager's terminal-record handlers — and
-// FunctionRef where a callable is only borrowed for the duration of one
-// call.
+// Small-buffer-optimized move-only callable with an arbitrary signature:
+// an inline buffer for small nothrow-movable captures, one heap cell as
+// fallback, move-only semantics.  It is the owning counterpart to
+// util::FunctionRef: use it wherever a callback is *stored* — simulation
+// events (sim::InlineFn is UniqueFn<void()>), node
+// completion/abort/failure handlers, observers, fault hooks, the process
+// manager's terminal-record handlers — and FunctionRef where a callable
+// is only borrowed for the duration of one call.
 //
 // Compared to std::function it drops the copyability requirement (so
 // captures may hold move-only state) and never allocates for captures of
 // up to kBufferSize bytes, which covers every handler in this repo
 // (a this-pointer plus a couple of pointers/ints).
 //
-// sim::InlineFn stays a separate type on purpose: the event queue
-// depends on its exact 56-byte footprint to keep pool slots within one
-// cache line, and that contract is easier to see (and to protect with a
-// static_assert) in a non-generic class.
+// The object is 56 bytes: the buffer plus the ops pointer, both at
+// pointer alignment.  The event queue relies on that size to fit a
+// callable and its 8-byte ordering key in one 64-byte slot
+// (event_queue.hpp asserts it).  A buffer aligned for std::max_align_t
+// would pad the object to 64 bytes and each slot to two cache lines.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +32,12 @@ class UniqueFn;
 template <typename R, typename... Args>
 class UniqueFn<R(Args...)> {
  public:
-  /// Inline capture budget, matching sim::InlineFn::kBufferSize: enough
-  /// for a this-pointer plus several shared_ptrs.
+  /// Inline capture budget: enough for a this-pointer plus several
+  /// shared_ptrs.
   static constexpr std::size_t kBufferSize = 48;
+  /// Alignment of the inline buffer.  Captures that need more (long
+  /// double, over-aligned types) take the heap cell.
+  static constexpr std::size_t kBufferAlign = alignof(void*);
 
   UniqueFn() noexcept = default;
   UniqueFn(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
@@ -97,7 +99,7 @@ class UniqueFn<R(Args...)> {
   /// UniqueFn's move operations) can be noexcept.
   template <typename D>
   static constexpr bool fits_inline =
-      sizeof(D) <= kBufferSize && alignof(D) <= alignof(std::max_align_t) &&
+      sizeof(D) <= kBufferSize && alignof(D) <= kBufferAlign &&
       std::is_nothrow_move_constructible_v<D>;
 
   template <typename D>
@@ -148,7 +150,7 @@ class UniqueFn<R(Args...)> {
     }
   }
 
-  alignas(std::max_align_t) std::byte buf_[kBufferSize];
+  alignas(kBufferAlign) std::byte buf_[kBufferSize];
   const Ops* ops_ = nullptr;
 };
 

@@ -35,7 +35,7 @@ LedgerJob job(double release, double deadline, double demand) {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// Differential oracle for core::completion_time_test: the
+/// Exact feasibility oracle for core::utilization_test: the
 /// processor-demand criterion.  For every interval [r, d] spanned by a
 /// (clamped) release and a deadline, the demand of the jobs fully
 /// contained in it must fit in d - r.  Exact for independent
@@ -66,7 +66,7 @@ bool scheduling_point_test(const std::vector<LedgerJob>& jobs, double now) {
   return true;
 }
 
-// --- the per-node feasibility battery ------------------------------------
+// --- the per-node feasibility test ---------------------------------------
 
 TEST(FeasibilityTests, UtilizationBoundCountsDensity) {
   std::vector<LedgerJob> jobs = {job(0, 10, 5), job(0, 10, 4)};  // 0.9
@@ -84,38 +84,35 @@ TEST(FeasibilityTests, UtilizationClampsReleaseToNow) {
   EXPECT_FALSE(core::utilization_test(jobs, 8.0, 1.0));
 }
 
-TEST(FeasibilityTests, CompletionTimeIsExactWhereDensityIsConservative) {
-  // Density 0.9 + 0.5 = 1.4 fails the bound, yet EDF trivially meets
-  // both deadlines: the short job runs 0..1, the long one 1..10.
-  std::vector<LedgerJob> jobs = {job(0, 10, 9), job(0, 2, 1)};
-  EXPECT_FALSE(core::utilization_test(jobs, 0.0, 1.0));
-  EXPECT_TRUE(core::completion_time_test(jobs, 0.0));
-  EXPECT_TRUE(scheduling_point_test(jobs, 0.0));
+TEST(FeasibilityTests, DensityIsSufficientNotNecessary) {
+  // Each set below is EDF-feasible, yet its density exceeds 1.
+  const std::vector<std::vector<LedgerJob>> pessimistic = {
+      // 0.9 + 0.5: the short job runs 0..1, the long one 1..10.
+      {job(0, 10, 9), job(0, 2, 1)},
+      // 0.6 + 1.0: A runs 0..3, B preempts 3..5, A resumes 5..8.
+      {job(0, 10, 6), job(3, 5, 2)},
+      // 0.5 + 1.0: two staged jobs fill [0, 4] exactly.
+      {job(0, 4, 2), job(2, 4, 2)},
+  };
+  for (std::size_t i = 0; i < pessimistic.size(); ++i) {
+    EXPECT_FALSE(core::utilization_test(pessimistic[i], 0.0, 1.0)) << i;
+    EXPECT_TRUE(scheduling_point_test(pessimistic[i], 0.0)) << i;
+  }
+  // Overloads both reject.
+  const std::vector<std::vector<LedgerJob>> overloaded = {
+      {job(0, 10, 9), job(0, 2, 2.5)},
+      {job(0, 4, 2), job(2, 4, 2), job(2, 4, 2)},
+  };
+  for (std::size_t i = 0; i < overloaded.size(); ++i) {
+    EXPECT_FALSE(core::utilization_test(overloaded[i], 0.0, 1.0)) << i;
+    EXPECT_FALSE(scheduling_point_test(overloaded[i], 0.0)) << i;
+  }
 }
 
-TEST(FeasibilityTests, CompletionTimeCatchesOverload) {
-  std::vector<LedgerJob> jobs = {job(0, 10, 9), job(0, 2, 2.5)};
-  EXPECT_FALSE(core::completion_time_test(jobs, 0.0));
-  EXPECT_FALSE(scheduling_point_test(jobs, 0.0));
-}
-
-TEST(FeasibilityTests, CompletionTimeHandlesFutureReleasesAndPreemption) {
-  // A runs 0..3, B preempts (earlier deadline) 3..5, A resumes 5..8.
-  std::vector<LedgerJob> ok = {job(0, 10, 6), job(3, 5, 2)};
-  EXPECT_TRUE(core::completion_time_test(ok, 0.0));
-  EXPECT_TRUE(scheduling_point_test(ok, 0.0));
-
-  // Two staged jobs fill [2, 4]; a third cannot also fit there.
-  std::vector<LedgerJob> staged = {job(0, 4, 2), job(2, 4, 2)};
-  EXPECT_TRUE(core::completion_time_test(staged, 0.0));
-  staged.push_back(job(2, 4, 2));
-  EXPECT_FALSE(core::completion_time_test(staged, 0.0));
-  EXPECT_FALSE(scheduling_point_test(staged, 0.0));
-}
-
-TEST(FeasibilityTests, ExactTestsAgreeOnABattery) {
-  // The completion-time walk and the processor-demand criterion are both
-  // exact for independent preemptive-EDF jobs: same verdict everywhere.
+TEST(FeasibilityTests, DensityImpliesTheExactTestOnABattery) {
+  // Whatever the density bound admits at a bound <= 1, preemptive EDF
+  // schedules: utilization_test(b) => scheduling_point_test.
+  constexpr double kBounds[] = {1.0, 0.85};
   const std::vector<std::vector<LedgerJob>> batteries = {
       {job(0, 4, 2), job(1, 6, 2), job(2, 9, 3)},
       {job(0, 4, 2), job(1, 6, 3), job(2, 9, 3)},
@@ -123,22 +120,27 @@ TEST(FeasibilityTests, ExactTestsAgreeOnABattery) {
       {job(0, 1, 1), job(0, 2, 1), job(0, 3, 1), job(0, 3.5, 1)},
       {job(5, 9, 4), job(0, 5, 5)},
       {job(5, 8.5, 4), job(0, 5, 5)},
+      {job(0, 4, 1), job(0, 4, 1), job(0, 2, 1)},  // density exactly 1
   };
   for (std::size_t i = 0; i < batteries.size(); ++i) {
-    EXPECT_EQ(core::completion_time_test(batteries[i], 0.0),
-              scheduling_point_test(batteries[i], 0.0))
-        << "battery " << i;
+    for (const double b : kBounds) {
+      if (core::utilization_test(batteries[i], 0.0, b)) {
+        EXPECT_TRUE(scheduling_point_test(batteries[i], 0.0))
+            << "battery " << i << " bound " << b;
+      }
+    }
   }
 
   // Seeded generator: job sets whose releases and deadlines cluster
-  // around a few shared instants, on a dyadic grid so that every sum is
-  // exact in double and ties, exact fits, and releases clamped to `now`
-  // all occur often.  Windows stay non-empty after clamping, as in a
-  // live ledger.
+  // around a few shared instants, on a dyadic grid so that ties, exact
+  // fits, and releases clamped to `now` all occur often.  Windows stay
+  // non-empty after clamping, as in a live ledger.
   constexpr double kGrid = 0.25;
   util::Rng rng(0xfea51b1eULL);
   int feasible = 0;
   int infeasible = 0;
+  int admitted[2] = {0, 0};
+  int tight = 0;  // admitted at 1 but not at 1 - 1e-6: full nodes
   for (int set = 0; set < 4000; ++set) {
     const double now = kGrid * static_cast<double>(rng.uniform_int(0, 4));
     const int clusters = static_cast<int>(rng.uniform_int(1, 3));
@@ -159,18 +161,31 @@ TEST(FeasibilityTests, ExactTestsAgreeOnABattery) {
       const double demand = kGrid * static_cast<double>(rng.uniform_int(0, 12));
       jobs.push_back(job(release, deadline, demand));
     }
-    const bool walk = core::completion_time_test(jobs, now);
-    ASSERT_EQ(walk, scheduling_point_test(jobs, now))
-        << "set " << set << " (n=" << n << ", now=" << now << ")";
-    if (walk) {
+    const bool exact = scheduling_point_test(jobs, now);
+    if (exact) {
       ++feasible;
     } else {
       ++infeasible;
     }
+    for (std::size_t k = 0; k < 2; ++k) {
+      if (!core::utilization_test(jobs, now, kBounds[k])) continue;
+      ++admitted[k];
+      ASSERT_TRUE(exact) << "set " << set << " (n=" << n << ", now=" << now
+                         << ") passes density at bound " << kBounds[k];
+    }
+    if (core::utilization_test(jobs, now, 1.0) &&
+        !core::utilization_test(jobs, now, 1.0 - 1e-6)) {
+      ++tight;
+    }
   }
-  // The generator must exercise both verdicts in earnest.
+  // The generator must exercise both verdicts in earnest, and the
+  // implication must be tested on many admitted sets, full nodes among
+  // them.
   EXPECT_GT(feasible, 800);
   EXPECT_GT(infeasible, 800);
+  EXPECT_GT(admitted[0], 400);
+  EXPECT_GT(admitted[1], 400);
+  EXPECT_GT(tight, 10);
 }
 
 // --- the admission controller --------------------------------------------
@@ -382,6 +397,187 @@ TEST(AdmissionController, FingerprintSeparatesParkedTreeShapes) {
   EXPECT_NE(fa, fingerprint_parking(*c));
   EXPECT_NE(fa, fingerprint_parking(*d));
   EXPECT_EQ(fa, fingerprint_parking(*task::clone(*a)));
+}
+
+// --- the controller against the exact test ------------------------------
+
+/// A random serial-parallel tree on @p nodes nodes: one leaf, a serial or
+/// parallel group of two or three, or a serial stage feeding a parallel
+/// pair.  pex is on a 0.25 grid, 0.25 to 3.
+task::TreePtr random_tree(util::Rng& rng, int nodes) {
+  int next = 0;
+  const auto leaf = [&] {
+    const double pex = 0.25 * static_cast<double>(rng.uniform_int(1, 12));
+    return "t" + std::to_string(next++) + "@" +
+           std::to_string(rng.uniform_int(0, nodes - 1)) + ":" +
+           std::to_string(pex) + "/" + std::to_string(pex);
+  };
+  const auto group = [&](const char* sep) {
+    std::string out = "[" + leaf();
+    const int extra = static_cast<int>(rng.uniform_int(1, 2));
+    for (int i = 0; i < extra; ++i) out += sep + leaf();
+    return out + "]";
+  };
+  switch (rng.uniform_int(0, 3)) {
+    case 0: return tree_of(leaf());
+    case 1: return tree_of(group(" "));
+    case 2: return tree_of(group(" || "));
+    default: {
+      const std::string first = leaf();
+      return tree_of("[" + first + " [" + leaf() + " || " + leaf() + "]]");
+    }
+  }
+}
+
+TEST(AdmissionController, EveryAdmitLeavesEdfFeasibleLedgers) {
+  // Random trees through decide, submit, pump and done drive the
+  // controller through all three overload states.  A mirror of every
+  // node's ledger, rebuilt from the admitted plans, must pass the exact
+  // processor-demand test after every admit.  Rejects the exact test
+  // would have taken are density pessimism, counted but not failures.
+  constexpr int kNodes = 4;
+  const std::pair<const char*, const char*> strategies[] = {
+      {"ud", "ud"}, {"div-1", "eqf"}, {"ud", "eqs"}};
+  util::Rng rng(0x0dac1e5eedULL);
+  int admits_in[3] = {0, 0, 0};
+  int degraded_admits = 0;
+  int checks = 0;
+  int pessimism = 0;
+  int rejects = 0;
+  for (const auto& [psp_name, ssp_name] : strategies) {
+    AdmissionConfig cfg;
+    cfg.node_count = kNodes;
+    cfg.psp = psp_name;
+    cfg.ssp = ssp_name;
+    cfg.queue_capacity = 8;
+    AdmissionController c(cfg);
+    const auto psp = core::make_psp_strategy(psp_name);
+    const auto ssp = core::make_ssp_strategy(ssp_name);
+
+    std::vector<std::vector<LedgerJob>> shadow(kNodes);
+    std::vector<task::TreePtr> trees;  // indexed by ticket - 1
+    std::vector<std::uint64_t> live;   // admitted tickets
+    const auto expire = [&](double now) {
+      for (auto& ledger : shadow) {
+        std::erase_if(ledger,
+                      [now](const LedgerJob& j) { return j.deadline <= now; });
+      }
+    };
+    const auto on_admit = [&](std::uint64_t ticket, const AdmissionOutcome& out,
+                              double now) {
+      ++admits_in[static_cast<int>(out.state)];
+      if (out.decision == AdmissionDecision::kAdmitDegraded) ++degraded_admits;
+      const auto leaves = task::leaves(*trees[ticket - 1]);
+      ASSERT_EQ(leaves.size(), out.plan.size());
+      expire(now);
+      for (std::size_t i = 0; i < leaves.size(); ++i) {
+        LedgerJob j;
+        j.ticket = ticket;
+        j.leaf = static_cast<std::uint32_t>(i);
+        j.release = out.plan[i].planned_dispatch;
+        j.deadline = out.plan[i].virtual_deadline;
+        j.demand = leaves[i]->pred_exec;
+        shadow[static_cast<std::size_t>(out.plan[i].node)].push_back(j);
+      }
+      for (const core::PlanEntry& e : out.plan) {
+        ++checks;
+        ASSERT_TRUE(scheduling_point_test(
+            shadow[static_cast<std::size_t>(e.node)], now))
+            << psp_name << "/" << ssp_name << " ticket " << ticket
+            << " leaves node " << e.node << " EDF-infeasible at " << now;
+      }
+      live.push_back(ticket);
+    };
+    const auto exact_would_admit = [&](const task::TreeNode& tree,
+                                       double now, double deadline) {
+      expire(now);
+      std::vector<std::vector<LedgerJob>> with = shadow;
+      for (const core::LeafAssignment& a :
+           core::plan_assignment(tree, 0.0, deadline - now, *psp, *ssp)) {
+        with[static_cast<std::size_t>(a.leaf->exec_node)].push_back(
+            job(now + a.planned_dispatch, now + a.virtual_deadline,
+                a.leaf->pred_exec));
+      }
+      return std::all_of(with.begin(), with.end(), [&](const auto& ledger) {
+        return scheduling_point_test(ledger, now);
+      });
+    };
+    const auto resolve = [&](const auto& resolved, double now) {
+      for (const auto& [ticket, out] : resolved) {
+        if (out.decision == AdmissionDecision::kAdmit ||
+            out.decision == AdmissionDecision::kAdmitDegraded) {
+          on_admit(ticket, out, now);
+        }
+      }
+    };
+
+    double now = 0.0;
+    for (int step = 0; step < 3000; ++step) {
+      now += 0.125 * static_cast<double>(rng.uniform_int(0, 3));
+      const int op = static_cast<int>(rng.uniform_int(0, 9));
+      if (op <= 5) {  // a new submission, decided or submitted
+        const std::uint64_t ticket = trees.size() + 1;
+        trees.push_back(random_tree(rng, kNodes));
+        const task::TreeNode& tree = *trees.back();
+        const double slack =
+            0.25 * static_cast<double>(rng.uniform_int(0, 16));
+        const double deadline = now + task::critical_path_pex(tree) + slack;
+        if (op <= 2) {
+          const AdmissionOutcome out = c.decide(tree, now, deadline, ticket);
+          if (out.decision == AdmissionDecision::kAdmit ||
+              out.decision == AdmissionDecision::kAdmitDegraded) {
+            on_admit(ticket, out, now);
+          } else if (out.decision == AdmissionDecision::kReject) {
+            ++rejects;
+            if (exact_would_admit(tree, now, deadline)) ++pessimism;
+          }
+        } else {
+          const auto result =
+              c.submit(task::clone(tree), now, deadline, ticket);
+          if (!result.queued &&
+              (result.outcome.decision == AdmissionDecision::kAdmit ||
+               result.outcome.decision == AdmissionDecision::kAdmitDegraded)) {
+            on_admit(ticket, result.outcome, now);
+          }
+        }
+      } else if (op <= 7) {
+        resolve(c.pump(now), now);
+      } else if (!live.empty()) {  // a run finishes, whole or one leaf
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        const std::uint64_t ticket = live[pick];
+        if (op == 8) {
+          c.on_finished(ticket);
+          for (auto& ledger : shadow) {
+            std::erase_if(ledger, [ticket](const LedgerJob& j) {
+              return j.ticket == ticket;
+            });
+          }
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        } else {
+          const std::uint32_t leaf = static_cast<std::uint32_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(task::leaf_count(*trees[ticket - 1])) - 1));
+          c.on_leaf_finished(ticket, leaf);
+          for (auto& ledger : shadow) {
+            std::erase_if(ledger, [ticket, leaf](const LedgerJob& j) {
+              return j.ticket == ticket && j.leaf == leaf;
+            });
+          }
+        }
+      }
+      if (HasFatalFailure()) return;
+    }
+    resolve(c.flush(now), now);
+    if (HasFatalFailure()) return;
+  }
+  // Every overload state admitted work and was checked.
+  EXPECT_GT(admits_in[static_cast<int>(OverloadState::kNormal)], 100);
+  EXPECT_GT(admits_in[static_cast<int>(OverloadState::kDegraded)], 20);
+  EXPECT_GT(admits_in[static_cast<int>(OverloadState::kShedding)], 20);
+  EXPECT_GT(degraded_admits, 0);
+  RecordProperty("ledger_checks", checks);
+  RecordProperty("rejects", rejects);
+  RecordProperty("density_pessimism", pessimism);
 }
 
 }  // namespace

@@ -158,24 +158,21 @@ TEST(Collector, GlobalRecordTimings) {
   EXPECT_DOUBLE_EQ(t.tardiness.mean(), 3.0);
 }
 
-TEST(Collector, TardinessHistogramQuantiles) {
+TEST(Collector, TardinessQuantilesFromDistributions) {
   Collector c;
-  c.enable_tardiness_histograms(10.0, 100);
+  c.enable_distributions();
   // 90 on-time tasks (tardiness 0), 10 late by 5.0.
   for (int i = 0; i < 90; ++i) c.record_simple(terminal_local(0.0, 5.0, 10.0));
   for (int i = 0; i < 10; ++i) c.record_simple(terminal_local(0.0, 15.0, 10.0));
-  const auto q = c.tardiness_profile(metrics::kLocalClass);
-  ASSERT_TRUE(q.enabled);
+  const metrics::DistributionSet* d =
+      c.class_distributions(metrics::kLocalClass);
+  ASSERT_NE(d, nullptr);
+  const metrics::Quantiles q = metrics::summarize(d->tardiness);
+  EXPECT_EQ(q.count, 100u);
   EXPECT_NEAR(q.p50, 0.0, 0.2);
-  EXPECT_NEAR(q.p99, 5.0, 0.2);
+  EXPECT_NEAR(q.p99, 5.0, 0.5);
   EXPECT_GE(q.p90, q.p50);
   EXPECT_GE(q.p99, q.p90);
-}
-
-TEST(Collector, TardinessProfileDisabledByDefault) {
-  Collector c;
-  c.record_simple(terminal_local(0.0, 15.0, 10.0));
-  EXPECT_FALSE(c.tardiness_profile(metrics::kLocalClass).enabled);
 }
 
 TEST(Collector, UnknownClassIsEmpty) {

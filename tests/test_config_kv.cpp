@@ -65,7 +65,6 @@ TEST(ConfigKv, RoundTripEveryFieldNonDefault) {
   c.pex = workload::PexModel::log_uniform(1.7);
   c.subtask_exec_spread = 2.0;
   c.placement = "least-queued";
-  c.tardiness_histograms = true;
   c.distributions = true;
   c.fault_rate = 0.01;
   c.crash_mean_uptime = 5000.0;

@@ -1,5 +1,6 @@
-// InlineFn: the small-buffer-optimized move-only callable behind EventFn.
-#include "src/sim/inline_fn.hpp"
+// InlineFn (util::UniqueFn<void()>): the small-buffer-optimized
+// move-only callable behind EventFn.
+#include "src/sim/timer_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -42,6 +43,21 @@ TEST(InlineFn, LargeCaptureFallsBackToHeapAndStillWorks) {
   InlineFn fn(std::move(lambda));
   fn();
   EXPECT_DOUBLE_EQ(sink, 7.5);
+}
+
+TEST(InlineFn, OverAlignedCaptureFallsBackToHeapAndStillWorks) {
+  // The inline buffer is pointer-aligned, which keeps an InlineFn at 56
+  // bytes; a capture that needs 16-byte alignment takes the heap cell.
+  struct alignas(16) Wide {
+    double v[2];
+  };
+  static_assert(sizeof(InlineFn) == 56);
+  double sink = 0.0;
+  auto lambda = [w = Wide{{1.0, 2.0}}, &sink] { sink = w.v[0] + w.v[1]; };
+  EXPECT_FALSE(InlineFn::stores_inline<decltype(lambda)>());
+  InlineFn fn(std::move(lambda));
+  fn();
+  EXPECT_DOUBLE_EQ(sink, 3.0);
 }
 
 TEST(InlineFn, MoveOnlyCaptureIsAccepted) {

@@ -83,6 +83,28 @@ TEST(Validate, CatchesRunControlProblems) {
   EXPECT_FALSE(c.validate().empty());
 }
 
+TEST(Validate, AdmissionBoundMustBeInZeroOne) {
+  // The density bound is the controller's only feasibility test; above
+  // 1 it no longer implies EDF feasibility.
+  for (const double bound : {0.0, -0.5, 1.5}) {
+    ExperimentConfig c = baseline_config();
+    c.admission_util_bound = bound;
+    // Unused by a simulation without admission=1 ...
+    EXPECT_TRUE(c.validate().empty()) << bound;
+    // ... but serving builds the controller regardless.
+    ASSERT_EQ(c.validate_admission().size(), 1u) << bound;
+    EXPECT_NE(c.validate_admission()[0].find("util_bound"), std::string::npos);
+    c.admission = true;
+    EXPECT_EQ(c.validate().size(), 1u) << bound;
+  }
+  ExperimentConfig c = baseline_config();
+  EXPECT_TRUE(c.validate_admission().empty());
+  c.admission_util_bound = 0.85;
+  EXPECT_TRUE(c.validate_admission().empty());
+  c.admission_enter_degraded = 0.95;  // above enter_shedding
+  EXPECT_EQ(c.validate_admission().size(), 1u);
+}
+
 TEST(Validate, ReportsAllProblemsAtOnce) {
   ExperimentConfig c = baseline_config();
   c.k = -1;

@@ -65,7 +65,6 @@ NAKED_NEW_ALLOWED = (
     "src/sim/event_queue.hpp",
     "src/sim/event_queue.cpp",
     "src/util/unique_fn.hpp",
-    "src/sim/inline_fn.hpp",
     "src/util/arena.hpp",
     "src/util/arena.cpp",
 )

@@ -350,27 +350,27 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::vector<std::string> problems = config.validate();
-  if (!problems.empty()) {
+  const auto invalid = [](const std::vector<std::string>& problems) {
+    if (problems.empty()) return false;
     std::fprintf(stderr, "invalid config:\n");
     for (const std::string& p : problems) {
       std::fprintf(stderr, "  - %s\n", p.c_str());
     }
-    return 64;
-  }
+    return true;
+  };
+  if (invalid(config.validate())) return 64;
+  // Serving and recovery build an admission controller even when the
+  // simulator's admission=0.
+  const bool builds_controller = serve || !recover_path.empty();
+  if (builds_controller && invalid(config.validate_admission())) return 64;
   if (validate_only) {
     std::printf("config valid\n");
     return 0;
   }
 
-  if (serve || !recover_path.empty()) {
+  if (builds_controller) {
     exp::ServeOptions opts;
-    try {
-      opts.admission = config.admission_config();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 64;
-    }
+    opts.admission = config.admission_config();
     opts.measure_latency = timing;
     opts.journal_path = journal_path;
     opts.journal_flush_every = journal_flush_every;
