@@ -52,13 +52,14 @@ Outcome run(const char* psp, const char* ssp, double load,
   pm.set_global_handler(
       [&](const core::GlobalTaskRecord& r) { collector.record_global(r); });
   for (auto& n : nodes) {
-    n->set_completion_handler([&](const task::TaskPtr& t) {
-      if (t->kind == task::TaskKind::kLocal) {
-        collector.record_simple(*t);
-      } else {
-        pm.handle_completion(t);
-      }
-    });
+    n->set_outcome_handler(
+        [&](const task::TaskPtr& t, sched::Node::Outcome o) {
+          if (t->kind == task::TaskKind::kLocal) {
+            collector.record_simple(*t);
+          } else {
+            pm.handle_outcome(t, o);
+          }
+        });
   }
 
   // The random source calibrates its own mean work; feed that into the

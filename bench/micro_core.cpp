@@ -218,8 +218,10 @@ void BM_ProcessManagerSubmitDrain(benchmark::State& state) {
     pc.ssp = core::make_ssp_strategy("eqf");
     core::ProcessManager pm(engine, node_ptrs, std::move(pc));
     for (auto& n : nodes) {
-      n->set_completion_handler(
-          [&pm](const task::TaskPtr& t) { pm.handle_completion(t); });
+      n->set_outcome_handler(
+          [&pm](const task::TaskPtr& t, sched::Node::Outcome o) {
+            pm.handle_outcome(t, o);
+          });
     }
     state.ResumeTiming();
     for (int i = 0; i < 100; ++i) {

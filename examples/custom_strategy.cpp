@@ -74,13 +74,14 @@ double run(std::shared_ptr<const core::PspStrategy> psp, std::uint64_t seed,
   pm.set_global_handler(
       [&](const core::GlobalTaskRecord& r) { collector.record_global(r); });
   for (auto& n : nodes) {
-    n->set_completion_handler([&](const task::TaskPtr& t) {
-      if (t->kind == task::TaskKind::kLocal) {
-        collector.record_simple(*t);
-      } else {
-        pm.handle_completion(t);
-      }
-    });
+    n->set_outcome_handler(
+        [&](const task::TaskPtr& t, sched::Node::Outcome o) {
+          if (t->kind == task::TaskKind::kLocal) {
+            collector.record_simple(*t);
+          } else {
+            pm.handle_outcome(t, o);
+          }
+        });
   }
 
   workload::RateParams rp;

@@ -52,9 +52,10 @@ metrics::MissTimeSeries run_storm(const char* psp_name, double burst_factor,
 
   metrics::Collector scratch;  // local sources need one for abort timers
   for (auto& n : nodes) {
-    n->set_completion_handler([&](const task::TaskPtr& t) {
-      if (t->kind == task::TaskKind::kSubtask) pm.handle_completion(t);
-    });
+    n->set_outcome_handler(
+        [&](const task::TaskPtr& t, sched::Node::Outcome o) {
+          pm.handle_outcome(t, o);  // ignores local tasks
+        });
   }
 
   workload::RateParams rp;  // baseline Table 1 rates at load 0.5

@@ -112,7 +112,7 @@ std::uint64_t ProcessManager::submit(task::TreePtr tree, sim::Time deadline,
     const int node = run.flat.node(s).exec_node;
     if (node < 0 || node >= node_count()) {
       // No state has changed yet (the id counter is untouched); the tree
-      // dies with `owned` exactly as it died with the old code's throw.
+      // dies with `owned`.
       throw std::out_of_range("ProcessManager::submit: leaf bound to node " +
                               std::to_string(node) + " but the system has " +
                               std::to_string(node_count()) + " nodes");
@@ -216,29 +216,48 @@ void ProcessManager::dispatch_leaf(Run& run, std::uint32_t leaf_slot,
   port_->submit(leaf.exec_node, t);
 }
 
-void ProcessManager::handle_completion(const TaskPtr& t) {
-  if (t->kind != task::TaskKind::kSubtask) return;
-  Run* run = find_run(t->owner_run);
-  if (run == nullptr) return;  // run already finished/aborted
-  TaskPtr* live = live_task(*run, t->leaf_slot, t->id);
-  if (live == nullptr) return;
-  const std::uint32_t leaf_slot = t->leaf_slot;
-  live->reset();
-  --run->live_count;
-  if (on_subtask_) on_subtask_(*t);
-  child_done(*run, leaf_slot);
+void ProcessManager::handle_outcome(const TaskPtr& t,
+                                    sched::Node::Outcome outcome) {
+  Run* run = live_run(*t);
+  if (run == nullptr) return;
+  switch (outcome) {
+    case sched::Node::Outcome::kCompleted:
+      handle_completion(*run, t);
+      return;
+    case sched::Node::Outcome::kLocalAbort:
+      handle_local_abort(*run, t);
+      return;
+    case sched::Node::Outcome::kFailed:
+      handle_failure(*run, t);
+      return;
+  }
 }
 
-void ProcessManager::handle_local_abort(const TaskPtr& t) {
-  if (t->kind != task::TaskKind::kSubtask) return;
-  Run* run = find_run(t->owner_run);
+void ProcessManager::handle_remote(const task::SimpleTask& snapshot,
+                                   sched::Node::Outcome outcome) {
+  Run* run = live_run(snapshot);
   if (run == nullptr) return;
-  if (live_task(*run, t->leaf_slot, t->id) == nullptr) return;
+  // Keep the manager's copy alive across the handler (which may erase the
+  // run) and refresh it from the node's snapshot — the same field values
+  // the serial path sees on its shared object.
+  const TaskPtr t = run->live[snapshot.leaf_slot];
+  *t = snapshot;
+  handle_outcome(t, outcome);
+}
 
+void ProcessManager::handle_completion(Run& run, const TaskPtr& t) {
+  const std::uint32_t leaf_slot = t->leaf_slot;
+  run.live[leaf_slot].reset();
+  --run.live_count;
+  if (on_subtask_) on_subtask_(*t);
+  child_done(run, leaf_slot);
+}
+
+void ProcessManager::handle_local_abort(Run& run, const TaskPtr& t) {
   // Resubmission budget exhausted: abort the whole run instead of feeding
   // it more service it cannot convert into a timely completion.
-  if (run->resubmissions >= config_.max_resubmissions_per_run) {
-    terminate_run(*run, /*shed=*/false);
+  if (run.resubmissions >= config_.max_resubmissions_per_run) {
+    terminate_run(run, /*shed=*/false);
     return;
   }
 
@@ -250,7 +269,7 @@ void ProcessManager::handle_local_abort(const TaskPtr& t) {
   // The resubmitted subtask therefore completes — typically late, which is
   // exactly the paper's "little slack left ... will very likely miss its
   // deadline".
-  ++run->resubmissions;
+  ++run.resubmissions;
   ++resubmissions_;
   t->state = TaskState::kCreated;
   t->attrs.arrival = engine_.now();
@@ -361,73 +380,41 @@ void ProcessManager::terminate_run(Run& run, bool shed) {
   finish_run(run, /*aborted=*/true, shed);
 }
 
-void ProcessManager::handle_failure(const TaskPtr& t) {
-  if (t->kind != task::TaskKind::kSubtask) return;
-  Run* run = find_run(t->owner_run);
-  if (run == nullptr) return;
-  if (live_task(*run, t->leaf_slot, t->id) == nullptr) return;
+void ProcessManager::handle_failure(Run& run, const TaskPtr& t) {
   const std::uint32_t leaf_slot = t->leaf_slot;
   const RecoveryPolicy& rp = config_.recovery;
 
   // Bounded retries: the (max+1)-th fault within one run sheds it.
-  if (run->retries >= rp.max_retries_per_run) {
-    terminate_run(*run, /*shed=*/true);
+  if (run.retries >= rp.max_retries_per_run) {
+    terminate_run(run, /*shed=*/true);
     return;
   }
   // Deadline-aware shedding: if even the predicted remainder cannot fit in
   // the slack left, drop the run now instead of burning more service on it.
   if (rp.shed_negative_slack &&
-      engine_.now() + remaining_path_pex(*run, leaf_slot) >
-          run->real_deadline) {
-    terminate_run(*run, /*shed=*/true);
+      engine_.now() + remaining_path_pex(run, leaf_slot) > run.real_deadline) {
+    terminate_run(run, /*shed=*/true);
     return;
   }
 
-  ++run->retries;
+  ++run.retries;
   ++fault_retries_;
-  const int attempt = ++run->leaf_retries[leaf_slot];
+  const int attempt = ++run.leaf_retries[leaf_slot];
   const double delay =
       rp.backoff_base > 0.0
           ? rp.backoff_base * std::pow(rp.backoff_factor, attempt - 1)
           : 0.0;
   if (delay > 0.0) {
-    const std::uint64_t run_id = run->id;
-    ++run->retry_timer_count;
-    run->retry_timers[leaf_slot] = engine_.in(delay, [this, run_id, t] {
-      Run* r = find_run(run_id);
+    ++run.retry_timer_count;
+    run.retry_timers[leaf_slot] = engine_.in(delay, [this, t] {
+      Run* r = live_run(*t);
       if (r == nullptr) return;  // the run ended while backing off
-      if (live_task(*r, t->leaf_slot, t->id) == nullptr) return;
       r->retry_timers[t->leaf_slot] = sim::EventId{};
       --r->retry_timer_count;
       resubmit_retry(*r, t->leaf_slot, t);
     });
   } else {
-    resubmit_retry(*run, leaf_slot, t);
-  }
-}
-
-void ProcessManager::handle_remote(const task::SimpleTask& snapshot,
-                                   RemoteSubtaskEvent ev) {
-  if (snapshot.kind != task::TaskKind::kSubtask) return;
-  Run* run = find_run(snapshot.owner_run);
-  if (run == nullptr) return;  // run ended while the message was in flight
-  TaskPtr* live = live_task(*run, snapshot.leaf_slot, snapshot.id);
-  if (live == nullptr) return;
-  // Keep the manager's copy alive across the handler (which may erase the
-  // run) and refresh it from the node's snapshot — the same field values
-  // the serial path sees on its shared object.
-  const TaskPtr t = *live;
-  *t = snapshot;
-  switch (ev) {
-    case RemoteSubtaskEvent::kCompleted:
-      handle_completion(t);
-      break;
-    case RemoteSubtaskEvent::kLocalAbort:
-      handle_local_abort(t);
-      break;
-    case RemoteSubtaskEvent::kFailed:
-      handle_failure(t);
-      break;
+    resubmit_retry(run, leaf_slot, t);
   }
 }
 

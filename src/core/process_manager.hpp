@@ -125,14 +125,6 @@ class DirectNodePort final : public NodePort {
   std::vector<sched::Node*> nodes_;
 };
 
-/// Terminal node-side outcome of a subtask, reported back to the process
-/// manager by the sharded runner as a value snapshot (see handle_remote).
-enum class RemoteSubtaskEvent {
-  kCompleted,
-  kLocalAbort,
-  kFailed,
-};
-
 class ProcessManager {
  public:
   struct Config {
@@ -166,9 +158,8 @@ class ProcessManager {
       util::UniqueFn<void(std::uint64_t run_id, sim::Time deadline)>;
 
   /// @p nodes is indexed by TreeNode::exec_node; the runner wires each
-  /// node's completion/abort handlers to handle_completion /
-  /// handle_local_abort for subtask-kind tasks.  Wraps the nodes in an
-  /// owned DirectNodePort (the serial path).
+  /// node's outcome handler to handle_outcome for subtask-kind tasks.
+  /// Wraps the nodes in an owned DirectNodePort (the serial path).
   ProcessManager(sim::Engine& engine, std::vector<sched::Node*> nodes,
                  Config config);
 
@@ -189,23 +180,20 @@ class ProcessManager {
   std::uint64_t submit(task::TreePtr tree, sim::Time deadline,
                        int global_metrics_class, int subtask_metrics_class);
 
-  /// Node completion callback for subtask-kind tasks.
-  void handle_completion(const task::TaskPtr& t);
+  /// Node outcome callback: a subtask left its node.  A completion
+  /// advances precedence, a local abort resubmits (§7.3), a failure
+  /// applies the RecoveryPolicy — retry, fail over, or shed.  Ignores
+  /// tasks that are not subtasks and outcomes for runs or subtasks the
+  /// manager no longer tracks.
+  void handle_outcome(const task::TaskPtr& t, sched::Node::Outcome outcome);
 
-  /// Node local-abort callback for subtask-kind tasks.
-  void handle_local_abort(const task::TaskPtr& t);
-
-  /// Node fault callback for subtask-kind tasks (crash or transient
-  /// failure): applies the RecoveryPolicy — retry, fail over, or shed.
-  void handle_failure(const task::TaskPtr& t);
-
-  /// Sharded-runner entry point: a node lane reported a terminal subtask
-  /// outcome as a value snapshot.  Copies the snapshot over the manager's
-  /// own task object (keyed by snapshot.id) and runs the matching
-  /// handle_* path; silently drops snapshots for runs or subtasks the
-  /// manager no longer tracks (the run ended while the message was in
-  /// flight — legitimate under message latency).
-  void handle_remote(const task::SimpleTask& snapshot, RemoteSubtaskEvent ev);
+  /// Sharded-runner entry point: a node lane reported an outcome as a
+  /// value snapshot.  Copies the snapshot over the manager's own task
+  /// object (keyed by snapshot.id) and handles it as handle_outcome does;
+  /// drops snapshots the manager no longer tracks (the run ended while
+  /// the message was in flight — legitimate under message latency).
+  void handle_remote(const task::SimpleTask& snapshot,
+                     sched::Node::Outcome outcome);
 
   const Config& config() const noexcept { return config_; }
 
@@ -270,6 +258,18 @@ class ProcessManager {
   /// abort) in bursts, so consecutive callbacks overwhelmingly target the
   /// run just looked up.  Invalidated when the cached run retires.
   Run* find_run(std::uint64_t run_id);
+  /// The run whose live subtask @p t is; null for non-subtasks and stale
+  /// outcomes (the run ended, or the subtask was replaced).
+  Run* live_run(const task::SimpleTask& t) {
+    if (t.kind != task::TaskKind::kSubtask) return nullptr;
+    Run* run = find_run(t.owner_run);
+    if (run == nullptr) return nullptr;  // run already finished/aborted
+    return live_task(*run, t.leaf_slot, t.id) != nullptr ? run : nullptr;
+  }
+  /// handle_outcome's bodies, for a live subtask of @p run.
+  void handle_completion(Run& run, const task::TaskPtr& t);
+  void handle_local_abort(Run& run, const task::TaskPtr& t);
+  void handle_failure(Run& run, const task::TaskPtr& t);
   /// Fresh-or-recycled Run; pairs with recycle_run().
   std::unique_ptr<Run> acquire_run();
   void recycle_run(std::unique_ptr<Run> run);
@@ -302,7 +302,6 @@ class ProcessManager {
   /// none is up.
   int failover_target(int origin) const;
 
-  /// Node count via the port (nodes_.size() before the port refactor).
   int node_count() const { return port_->count(); }
 
   sim::Engine& engine_;

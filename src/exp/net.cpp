@@ -247,6 +247,16 @@ void ServeServer::accept_clients() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // The backlog stays readable, so a level-triggered poll would
+        // return at once on every turn: stop watching the listener until
+        // the next tick or the next closed connection.
+        poller_.remove(listen_fd_);
+        accept_paused_ = true;
+        accept_retry_ms_ =
+            steady_ms() + static_cast<std::uint64_t>(options_.tick_ms);
+      }
       return;  // EAGAIN or a transient error: next readiness round
     }
     if (connections_.size() >= options_.max_connections) {
@@ -419,6 +429,7 @@ void ServeServer::close_connection(int fd) {
   poller_.remove(fd);
   if (::close(fd) != 0) { /* nothing better to do */ }
   connections_.erase(it);
+  accept_retry_ms_ = 0;  // a descriptor is free again
   // Routes pointing at this client stay: later decisions for its
   // submissions surface as orphaned_replies, which is the honest count.
 }
@@ -524,7 +535,12 @@ int ServeServer::run(std::ostream& out) {
     // then do the turn's replies leave.
     if (!session_.commit()) return fail_closed(out);
     flush_outboxes();
-    enforce_timeouts(steady_ms());
+    const std::uint64_t now_ms = steady_ms();
+    enforce_timeouts(now_ms);
+    if (accept_paused_ && now_ms >= accept_retry_ms_) {
+      accept_paused_ = false;
+      poller_.watch(listen_fd_, /*want_write=*/false);
+    }
   }
   drain(out);
   return 0;

@@ -209,6 +209,11 @@ class ServeServer {
   /// entry point, provably touches none of it.
   util::ThreadRole loop_;
   bool stop_requested_ SDA_GUARDED_BY(loop_) = false;
+  /// Set while the listener is unwatched because accept() ran out of
+  /// descriptors or memory; run() re-arms it once the clock passes
+  /// accept_retry_ms_ (a tick later, or at once after a close).
+  bool accept_paused_ SDA_GUARDED_BY(loop_) = false;
+  std::uint64_t accept_retry_ms_ SDA_GUARDED_BY(loop_) = 0;
   std::map<int, Connection> connections_
       SDA_GUARDED_BY(loop_);  ///< fd -> state
   std::map<std::uint64_t, int> id_routes_

@@ -41,18 +41,8 @@ class SerialWiring final {
   void emit_trace(int, const metrics::TraceRecord& rec) { tracer_->add(rec); }
 
   void subtask_outcome(core::ProcessManager& pm, int, const task::TaskPtr& t,
-                       core::RemoteSubtaskEvent ev) {
-    switch (ev) {
-      case core::RemoteSubtaskEvent::kCompleted:
-        pm.handle_completion(t);
-        break;
-      case core::RemoteSubtaskEvent::kLocalAbort:
-        pm.handle_local_abort(t);
-        break;
-      case core::RemoteSubtaskEvent::kFailed:
-        pm.handle_failure(t);
-        break;
-    }
+                       sched::Node::Outcome outcome) {
+    pm.handle_outcome(t, outcome);
   }
 
   /// Local sources record PM-timer aborts into the collector directly.

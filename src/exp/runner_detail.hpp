@@ -16,7 +16,7 @@
 //   void emit_global(int lane, const core::GlobalTaskRecord&);
 //   void emit_trace(int lane, const metrics::TraceRecord&);
 //   void subtask_outcome(core::ProcessManager&, int lane,
-//                        const task::TaskPtr&, core::RemoteSubtaskEvent);
+//                        const task::TaskPtr&, sched::Node::Outcome);
 //   void hook_local_source(workload::LocalSource&, int lane);
 //   void plan_outages(const fault::FaultPlan&, int node_count);
 //   void run(sim::Time horizon);
@@ -80,20 +80,6 @@ inline bool message_mode(const ExperimentConfig& c) noexcept {
 /// Same contract as run_once; the config has already been validated.
 RunResult run_once_sharded(const ExperimentConfig& config, std::uint64_t seed,
                            metrics::Tracer* tracer);
-
-/// A node's terminal handler: locals are recorded where they finished,
-/// subtasks go back to the process manager through the wiring.
-template <core::RemoteSubtaskEvent Ev, class Wiring>
-auto terminal_handler(Wiring& wiring, core::ProcessManager& pm, int lane) {
-  return [&wiring, &pm, lane](const task::TaskPtr& t) {
-    if (t->kind == task::TaskKind::kLocal) {
-      // Completed, locally aborted or fault-killed: aborts count as misses.
-      wiring.emit_simple(lane, *t);
-    } else {
-      wiring.subtask_outcome(pm, lane, t, Ev);
-    }
-  };
-}
 
 /// Builds and runs one replication on @p wiring (see file comment).  Node
 /// i and its local source live on lane i; the process manager, admission
@@ -201,17 +187,19 @@ RunResult run_system(const ExperimentConfig& config, std::uint64_t seed,
       });
     }
   }
+  // Locals are recorded where they left (local aborts and faults count as
+  // misses); subtasks go back to the process manager through the wiring.
   for (auto& node : nodes) {
     const int lane = node->index();
-    node->set_completion_handler(
-        terminal_handler<core::RemoteSubtaskEvent::kCompleted>(wiring, pm,
-                                                               lane));
-    node->set_abort_handler(
-        terminal_handler<core::RemoteSubtaskEvent::kLocalAbort>(wiring, pm,
-                                                                lane));
-    // The recovery policy decides: retry, fail over, or shed.
-    node->set_failure_handler(
-        terminal_handler<core::RemoteSubtaskEvent::kFailed>(wiring, pm, lane));
+    node->set_outcome_handler([&wiring, &pm, lane](
+                                  const task::TaskPtr& t,
+                                  sched::Node::Outcome outcome) {
+      if (t->kind == task::TaskKind::kLocal) {
+        wiring.emit_simple(lane, *t);
+      } else {
+        wiring.subtask_outcome(pm, lane, t, outcome);
+      }
+    });
   }
 
   // --- workload ----------------------------------------------------------------

@@ -41,7 +41,7 @@ namespace {
 /// The per-node registries map task id -> the node's clone so an abort
 /// message can find the object the node actually holds.  Each registry is
 /// touched only from its node's lane (registration happens inside the
-/// delivered submit message, release inside the node's terminal handlers),
+/// delivered submit message, release inside the node's outcome handler),
 /// so there is no cross-shard access to guard.
 class FabricNodePort final : public core::NodePort {
  public:
@@ -81,7 +81,7 @@ class FabricNodePort final : public core::NodePort {
   }
 
   /// Drops the registry entry for a task that reached a terminal state on
-  /// its node.  Called from the node-lane terminal handlers.
+  /// its node.  Called from the node-lane outcome handler.
   void release(int node, std::uint64_t id) {
     registry_[static_cast<std::size_t>(node)].erase(id);
   }
@@ -126,11 +126,11 @@ class FabricWiring final {
   /// snapshot of the task to the PM (handle_remote replays it over the
   /// PM's copy).
   void subtask_outcome(core::ProcessManager& pm, int lane,
-                       const task::TaskPtr& t, core::RemoteSubtaskEvent ev) {
+                       const task::TaskPtr& t, sched::Node::Outcome outcome) {
     port_->release(lane, t->id);
     const task::SimpleTask snapshot = *t;
-    fabric_.post(lane, fabric_.control_lane(), [&pm, snapshot, ev] {
-      pm.handle_remote(snapshot, ev);
+    fabric_.post(lane, fabric_.control_lane(), [&pm, snapshot, outcome] {
+      pm.handle_remote(snapshot, outcome);
     });
   }
 

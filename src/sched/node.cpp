@@ -95,59 +95,46 @@ void Node::start_service(TaskPtr t) {
 
 void Node::finish_service() {
   assert(current_);
-  TaskPtr done = std::move(current_);
-  current_ = nullptr;
   busy_accum_ += engine_.now() - service_started_;
+  TaskPtr done = std::move(current_);
   done->remaining = 0.0;
-  done->state = TaskState::kCompleted;
-  done->finished_at = engine_.now();
-  disarm_abort_timer(*done);
-  note_population_change(-1);
-  ++completed_;
-  notify(Event::kCompleted, *done);
-  if (on_complete_) on_complete_(done);
+  retire(*done, TaskState::kCompleted, completed_, Event::kCompleted);
+  report(done, Outcome::kCompleted);
   try_start();
 }
 
 void Node::fail_service() {
   assert(current_);
+  // The work invested in the failed attempt is lost.
+  busy_accum_ += engine_.now() - service_started_;
   TaskPtr victim = std::move(current_);
-  current_ = nullptr;
-  const sim::Time elapsed = engine_.now() - service_started_;
-  busy_accum_ += elapsed;  // the work invested in the failed attempt is lost
-  mark_failed(*victim);
-  // Pick the next job before the failure handler runs: an immediate retry
+  retire(*victim, TaskState::kFailed, failed_, Event::kFailed);
+  // Pick the next job before the failure is reported: an immediate retry
   // then joins the queue behind that pick, exactly as it does when it
   // arrives by message on the sharded fabric.
   try_start();
-  if (on_failure_) on_failure_(victim);
+  report(victim, Outcome::kFailed);
 }
 
-void Node::mark_failed(task::SimpleTask& t) {
-  disarm_abort_timer(t);
-  t.state = TaskState::kFailed;
-  t.finished_at = engine_.now();
-  note_population_change(-1);
-  ++failed_;
-  notify(Event::kFailed, t);
-}
-
-void Node::fail_task(TaskPtr t) {
-  mark_failed(*t);
-  if (on_failure_) on_failure_(t);
+TaskPtr Node::interrupt_service() {
+  assert(current_);
+  engine_.cancel(completion_event_);
+  const sim::Time elapsed = engine_.now() - service_started_;
+  busy_accum_ += elapsed;
+  current_->remaining -= elapsed * config_.speed;
+  if (current_->remaining < 0.0) current_->remaining = 0.0;
+  return std::move(current_);
 }
 
 void Node::crash(bool discard_queue) {
   if (!up_) return;
   up_ = false;
   ++crashes_;
-  if (current_) {
-    engine_.cancel(completion_event_);
-    TaskPtr victim = std::move(current_);
-    current_ = nullptr;
-    busy_accum_ += engine_.now() - service_started_;
-    fail_task(std::move(victim));
-  }
+  auto fail = [this](const TaskPtr& t) {
+    retire(*t, TaskState::kFailed, failed_, Event::kFailed);
+    report(t, Outcome::kFailed);
+  };
+  if (current_) fail(interrupt_service());
   if (discard_queue) {
     // Snapshot first: a failure handler may resubmit a victim right back to
     // this (down) node, and that retry belongs to the post-crash queue, not
@@ -156,7 +143,7 @@ void Node::crash(bool discard_queue) {
     while (TaskPtr queued = scheduler_->pop()) {
       victims.push_back(std::move(queued));
     }
-    for (TaskPtr& queued : victims) fail_task(std::move(queued));
+    for (const TaskPtr& queued : victims) fail(queued);
   }
 }
 
@@ -167,17 +154,11 @@ void Node::recover() {
 }
 
 void Node::preempt_current() {
-  assert(current_);
-  engine_.cancel(completion_event_);
-  const sim::Time elapsed = engine_.now() - service_started_;
-  busy_accum_ += elapsed;
-  current_->remaining -= elapsed * config_.speed;
-  if (current_->remaining < 0.0) current_->remaining = 0.0;
-  current_->state = TaskState::kQueued;
+  TaskPtr preempted = interrupt_service();
+  preempted->state = TaskState::kQueued;
   ++preemptions_;
-  notify(Event::kPreempted, *current_);
-  scheduler_->push(std::move(current_));
-  current_ = nullptr;
+  notify(Event::kPreempted, *preempted);
+  scheduler_->push(std::move(preempted));
 }
 
 void Node::arm_abort_timer(const TaskPtr& t) {
@@ -208,53 +189,23 @@ void Node::disarm_abort_timer(const task::SimpleTask& t) {
 void Node::local_abort(const TaskPtr& t) {
   if (t->state == TaskState::kRunning) {
     assert(current_.get() == t.get());
-    engine_.cancel(completion_event_);
-    const sim::Time elapsed = engine_.now() - service_started_;
-    busy_accum_ += elapsed;  // work invested in the victim is wasted
-    t->remaining -= elapsed * config_.speed;
-    if (t->remaining < 0.0) t->remaining = 0.0;
-    current_ = nullptr;
+    interrupt_service();  // the work invested in the victim is wasted
   } else if (t->state == TaskState::kQueued) {
     // Remove from the ready queue if it is there (it may not be, in the
     // expired-on-arrival path).
     scheduler_->remove(*t);
   }
-  disarm_abort_timer(*t);
-  t->state = TaskState::kAborted;
-  t->finished_at = engine_.now();
-  note_population_change(-1);
-  ++aborted_locally_;
-  notify(Event::kAborted, *t);
-  if (on_local_abort_) on_local_abort_(t);
+  retire(*t, TaskState::kAborted, aborted_locally_, Event::kAborted);
+  report(t, Outcome::kLocalAbort);
   try_start();
 }
 
 bool Node::abort(const task::SimpleTask& t) {
-  if (current_ && current_.get() == &t) {
-    TaskPtr victim = std::move(current_);
-    current_ = nullptr;
-    engine_.cancel(completion_event_);
-    const sim::Time elapsed = engine_.now() - service_started_;
-    busy_accum_ += elapsed;
-    victim->remaining -= elapsed * config_.speed;
-    if (victim->remaining < 0.0) victim->remaining = 0.0;
-    disarm_abort_timer(*victim);
-    victim->state = TaskState::kAborted;
-    victim->finished_at = engine_.now();
-    note_population_change(-1);
-    ++aborted_externally_;
-    notify(Event::kAborted, *victim);
-    try_start();
-    return true;
-  }
-  TaskPtr owned = scheduler_->remove(t);
-  if (!owned) return false;
-  disarm_abort_timer(*owned);
-  owned->state = TaskState::kAborted;
-  owned->finished_at = engine_.now();
-  note_population_change(-1);
-  ++aborted_externally_;
-  notify(Event::kAborted, *owned);
+  const bool running = current_.get() == &t;
+  const TaskPtr victim = running ? interrupt_service() : scheduler_->remove(t);
+  if (!victim) return false;
+  retire(*victim, TaskState::kAborted, aborted_externally_, Event::kAborted);
+  if (running) try_start();
   return true;
 }
 

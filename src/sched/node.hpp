@@ -49,16 +49,18 @@ class Node {
     double speed = 1.0;
   };
 
-  /// Called when a task finishes service (state kCompleted).
-  using CompletionHandler = util::UniqueFn<void(const TaskPtr&)>;
-  /// Called when the *local* abort policy kills a task (state kAborted).
-  /// Externally requested aborts (Node::abort) do not trigger this.
-  using AbortHandler = util::UniqueFn<void(const TaskPtr&)>;
-  /// Called when a fault kills a task (state kFailed): a transient
-  /// service failure from the fault hook, or a node crash.  After a
-  /// transient failure the node has already picked its next job when the
-  /// handler runs.
-  using FailureHandler = util::UniqueFn<void(const TaskPtr&)>;
+  /// How a task left the node (paper §3.2: what the node tells the
+  /// process manager).
+  enum class Outcome : std::uint8_t {
+    kCompleted,   ///< finished service (state kCompleted)
+    kLocalAbort,  ///< killed by the local abort policy (state kAborted)
+    kFailed,      ///< killed by a fault: transient failure or crash (kFailed)
+  };
+  /// Called once for every task that leaves the node, except through an
+  /// external abort() (its caller already knows).  After a completion or
+  /// a local abort the handler runs before the node picks its next job;
+  /// after a transient failure the node has already picked it.
+  using OutcomeHandler = util::UniqueFn<void(const TaskPtr&, Outcome)>;
 
   /// Fault-injection verdict for one service attempt (see set_fault_hook).
   struct ServiceFault {
@@ -95,9 +97,7 @@ class Node {
   const Scheduler& scheduler() const noexcept { return *scheduler_; }
   const Config& config() const noexcept { return config_; }
 
-  void set_completion_handler(CompletionHandler h) { on_complete_ = std::move(h); }
-  void set_abort_handler(AbortHandler h) { on_local_abort_ = std::move(h); }
-  void set_failure_handler(FailureHandler h) { on_failure_ = std::move(h); }
+  void set_outcome_handler(OutcomeHandler h) { on_outcome_ = std::move(h); }
 
   /// Installs a lifecycle observer (nullptr-able). Zero overhead when unset.
   void set_observer(Observer o) { observer_ = std::move(o); }
@@ -195,9 +195,23 @@ class Node {
   void start_service(TaskPtr t);
   void finish_service();
   void fail_service();
-  /// Failed-task bookkeeping and the kFailed notification, no handler.
-  void mark_failed(task::SimpleTask& t);
-  void fail_task(TaskPtr t);
+  /// Stops the in-service task where it stands: cancels its completion
+  /// event, charges the leg's busy time and credits the work done against
+  /// its remaining demand.  Returns the task; the server is then idle.
+  TaskPtr interrupt_service();
+  /// Bookkeeping for a task leaving the node: disarms its abort timer,
+  /// stamps @p state and the finish time, updates the population and
+  /// @p counter, and notifies the observer.  Runs no handler.  Defined
+  /// here so the completion path inlines it.
+  void retire(task::SimpleTask& t, task::TaskState state,
+              std::uint64_t& counter, Event event) {
+    disarm_abort_timer(t);
+    t.state = state;
+    t.finished_at = engine_.now();
+    note_population_change(-1);
+    ++counter;
+    notify(event, t);
+  }
   void preempt_current();
   void local_abort(const TaskPtr& t);
   void arm_abort_timer(const TaskPtr& t);
@@ -216,14 +230,15 @@ class Node {
   /// Local-abort timers, keyed by task id.
   std::unordered_map<std::uint64_t, sim::EventId> abort_timers_;
 
-  CompletionHandler on_complete_;
-  AbortHandler on_local_abort_;
-  FailureHandler on_failure_;
+  OutcomeHandler on_outcome_;
   Observer observer_;
   FaultHook fault_hook_;
 
   void notify(Event e, const task::SimpleTask& t) {
     if (observer_) observer_(e, t);
+  }
+  void report(const TaskPtr& t, Outcome o) {
+    if (on_outcome_) on_outcome_(t, o);
   }
 
   std::uint64_t completed_ = 0;

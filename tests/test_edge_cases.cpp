@@ -39,7 +39,9 @@ TEST(EdgeCases, DeadlineAlreadyExpiredAtSubmission) {
   sim::Engine engine;
   sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), {});
   bool completed = false;
-  node.set_completion_handler([&](const task::TaskPtr& t) {
+  node.set_outcome_handler([&](const task::TaskPtr& t,
+                               sched::Node::Outcome o) {
+    if (o != sched::Node::Outcome::kCompleted) return;
     completed = true;
     EXPECT_FALSE(t->met_real_deadline());
   });
@@ -66,8 +68,10 @@ TEST(EdgeCases, GlobalTaskWithZeroDemandSubtasks) {
   pc.ssp = core::make_ssp_strategy("eqf");
   core::ProcessManager pm(engine, ptrs, std::move(pc));
   for (auto& n : nodes) {
-    n->set_completion_handler(
-        [&pm](const task::TaskPtr& t) { pm.handle_completion(t); });
+    n->set_outcome_handler(
+        [&pm](const task::TaskPtr& t, sched::Node::Outcome o) {
+          pm.handle_outcome(t, o);
+        });
   }
   bool done = false;
   pm.set_global_handler([&](const core::GlobalTaskRecord& r) {

@@ -100,7 +100,9 @@ double measure_wq(const ExecDistribution& service, double lambda,
   sched::Node node(engine, sched::make_scheduler("fifo"), {});
   metrics::Collector collector;
   util::RunningStat wait;
-  node.set_completion_handler([&](const task::TaskPtr& t) {
+  node.set_outcome_handler([&](const task::TaskPtr& t,
+                               sched::Node::Outcome o) {
+    if (o != sched::Node::Outcome::kCompleted) return;
     wait.add(t->started_at - t->attrs.arrival);
   });
   workload::LocalSource::Config lc;

@@ -37,7 +37,9 @@ TEST(NodeFaults, HookCanFailAnAttemptPartway) {
   sim::Engine e;
   Node n(e, edf(), cfg());
   std::vector<TaskPtr> failed;
-  n.set_failure_handler([&](const TaskPtr& t) { failed.push_back(t); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kFailed) failed.push_back(t);
+  });
   n.set_fault_hook([](const task::SimpleTask&, double) {
     Node::ServiceFault f;
     f.fail_after = 1.5;  // die 1.5 units into the leg
@@ -62,10 +64,12 @@ TEST(NodeFaults, NextJobStartsBeforeTheFailureHandlerRuns) {
   sim::Engine e;
   Node n(e, edf(), cfg());
   std::vector<std::uint64_t> done;
-  n.set_completion_handler([&](const TaskPtr& t) { done.push_back(t->id); });
-  n.set_failure_handler([&](const TaskPtr& t) {
-    EXPECT_EQ(n.queue_length(), 0u);  // task 2 already in service
-    n.submit(t);
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kCompleted) done.push_back(t->id);
+    if (o == Node::Outcome::kFailed) {
+      EXPECT_EQ(n.queue_length(), 0u);  // task 2 already in service
+      n.submit(t);
+    }
   });
   n.set_fault_hook([](const task::SimpleTask& t, double) {
     Node::ServiceFault f;
@@ -83,7 +87,9 @@ TEST(NodeFaults, HookExtraDelayStretchesService) {
   sim::Engine e;
   Node n(e, edf(), cfg());
   std::vector<TaskPtr> done;
-  n.set_completion_handler([&](const TaskPtr& t) { done.push_back(t); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kCompleted) done.push_back(t);
+  });
   n.set_fault_hook([](const task::SimpleTask&, double) {
     Node::ServiceFault f;
     f.extra_delay = 0.75;  // e.g. link jitter
@@ -100,7 +106,9 @@ TEST(NodeFaults, FailAfterBeyondDurationCompletesNormally) {
   sim::Engine e;
   Node n(e, edf(), cfg());
   std::vector<TaskPtr> done;
-  n.set_completion_handler([&](const TaskPtr& t) { done.push_back(t); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kCompleted) done.push_back(t);
+  });
   n.set_fault_hook([](const task::SimpleTask&, double duration) {
     Node::ServiceFault f;
     f.fail_after = duration + 1.0;  // "failure" after the attempt ends
@@ -117,7 +125,9 @@ TEST(NodeFaults, CrashFailsInServiceTaskAndDiscardsQueue) {
   sim::Engine e;
   Node n(e, edf(), cfg());
   std::vector<TaskPtr> failed;
-  n.set_failure_handler([&](const TaskPtr& t) { failed.push_back(t); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kFailed) failed.push_back(t);
+  });
   n.submit(make_local_task(1, 0, 0.0, 5.0, 10.0));  // in service
   n.submit(make_local_task(2, 0, 0.0, 1.0, 10.0));  // queued
   e.at(2.0, [&] { n.crash(/*discard_queue=*/true); });
@@ -139,8 +149,10 @@ TEST(NodeFaults, CrashWithoutDiscardFreezesQueueUntilRecovery) {
   sim::Engine e;
   Node n(e, edf(), cfg());
   std::vector<TaskPtr> failed, done;
-  n.set_failure_handler([&](const TaskPtr& t) { failed.push_back(t); });
-  n.set_completion_handler([&](const TaskPtr& t) { done.push_back(t); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kFailed) failed.push_back(t);
+    if (o == Node::Outcome::kCompleted) done.push_back(t);
+  });
   n.submit(make_local_task(1, 0, 0.0, 5.0, 20.0));
   n.submit(make_local_task(2, 0, 0.0, 1.0, 20.0));
   e.at(2.0, [&] { n.crash(/*discard_queue=*/false); });
@@ -161,7 +173,9 @@ TEST(NodeFaults, SubmitWhileDownQueuesUntilRecovery) {
   sim::Engine e;
   Node n(e, edf(), cfg());
   std::vector<TaskPtr> done;
-  n.set_completion_handler([&](const TaskPtr& t) { done.push_back(t); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kCompleted) done.push_back(t);
+  });
   n.crash(true);
   n.submit(make_local_task(1, 0, 0.0, 1.0, 20.0));
   EXPECT_EQ(n.in_service(), nullptr);  // down: accepted but not served
@@ -223,8 +237,10 @@ TEST(Injector, TransientFailuresHitOnlySubtasksOnComputeNodes) {
 
   std::vector<TaskPtr> failed, done;
   for (Node* n : nodes) {
-    n->set_failure_handler([&](const TaskPtr& t) { failed.push_back(t); });
-    n->set_completion_handler([&](const TaskPtr& t) { done.push_back(t); });
+    n->set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+      if (o == Node::Outcome::kFailed) failed.push_back(t);
+      if (o == Node::Outcome::kCompleted) done.push_back(t);
+    });
   }
   // A local task on the compute node is untouched even at rate 1.
   n0.submit(make_local_task(1, 0, 0.0, 1.0, 50.0));
@@ -252,7 +268,9 @@ TEST(Injector, MessageLossFailsLinkTransmissions) {
   inj.arm();
 
   std::vector<TaskPtr> failed;
-  link.set_failure_handler([&](const TaskPtr& t) { failed.push_back(t); });
+  link.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kFailed) failed.push_back(t);
+  });
   link.submit(task::make_subtask(1, 7, 1, 0.0, 0.5, 0.5, 50.0));
   e.run();
   ASSERT_EQ(failed.size(), 1u);

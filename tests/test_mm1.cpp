@@ -40,7 +40,9 @@ Mm1Result run_mm1(const std::string& policy, double lambda, double mu,
   metrics::Collector collector;
 
   util::RunningStat sojourn;
-  node.set_completion_handler([&](const task::TaskPtr& t) {
+  node.set_outcome_handler([&](const task::TaskPtr& t,
+                               sched::Node::Outcome o) {
+    if (o != sched::Node::Outcome::kCompleted) return;
     sojourn.add(t->finished_at - t->attrs.arrival);
   });
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/resource.h>
@@ -19,6 +20,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -793,6 +795,84 @@ TEST(ServeServerLoop, FailedCommitFailsClosed) {
   }
   EXPECT_GE(decisions, 5u);
   std::remove(wal.c_str());
+}
+
+TEST(ServeServerLoop, AcceptOutOfDescriptorsWaitsInsteadOfSpinning) {
+  // The server runs in a child process whose descriptor limit leaves
+  // room for exactly two connections.  Four clients connect; the last two
+  // wait in the listen backlog, where they keep the listener readable
+  // while accept() fails with EMFILE.  The loop must sleep through that
+  // (its CPU time stays far below the wall time the clients hold it), and
+  // a backlogged client must be served once a connection closes.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const auto started = std::chrono::steady_clock::now();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    ServeSession session(serve_options());
+    ServeServer server(session, ephemeral_tcp());
+    std::string error;
+    if (!session.open_journal(&error) || !server.start(&error)) ::_exit(3);
+    // The limit sits just above the second free descriptor number.
+    int free_seen = 0, fd = 0;
+    for (; free_seen < 2; ++fd) {
+      if (::fcntl(fd, F_GETFD) == -1 && errno == EBADF) ++free_seen;
+    }
+    const rlimit limit{static_cast<rlim_t>(fd), static_cast<rlim_t>(fd)};
+    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(2);
+    const std::uint16_t port = server.bound_port();
+    if (::write(fds[1], &port, sizeof port) != sizeof port) ::_exit(4);
+    std::ostringstream out;
+    ::_exit(server.run(out));
+  }
+  ::close(fds[1]);
+  std::uint16_t port = 0;
+  const bool got_port = ::read(fds[0], &port, sizeof port) == sizeof port;
+  ::close(fds[0]);
+  const auto sub = [](int id) {
+    return "sub id=" + std::to_string(id) + " at=" + std::to_string(id) +
+           " deadline=50 tree=a@0:1/1";
+  };
+  const auto answered = [](Client& c, int id) {
+    return c.read_line().find("\"id\":" + std::to_string(id)) !=
+           std::string::npos;
+  };
+  bool first_two_served = false, backlogged_served = false;
+  double held_s = 0.0;
+  if (got_port) {
+    std::vector<std::unique_ptr<Client>> clients;
+    for (int i = 0; i < 4; ++i) {
+      clients.push_back(std::make_unique<Client>(port));
+    }
+    first_two_served = clients[0]->send_line(sub(1)) &&
+                       answered(*clients[0], 1) &&
+                       clients[1]->send_line(sub(2)) &&
+                       answered(*clients[1], 2);
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    held_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           started)
+                 .count();
+    clients[0].reset();  // frees one descriptor in the server
+    backlogged_served =
+        clients[2]->send_line(sub(3)) && answered(*clients[2], 3);
+  }
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  rusage usage{};
+  ASSERT_EQ(::wait4(pid, &status, 0, &usage), pid);
+  ASSERT_TRUE(got_port);
+  EXPECT_TRUE(first_two_served);
+  EXPECT_TRUE(backlogged_served);
+  const double cpu_s =
+      static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+      static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) /
+          1e6;
+  EXPECT_GE(held_s, 1.0);
+  EXPECT_LT(cpu_s, 0.25 * held_s)
+      << "the loop spun on the readable listener: " << cpu_s << " s CPU in "
+      << held_s << " s";
 }
 
 }  // namespace

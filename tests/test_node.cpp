@@ -1,9 +1,11 @@
 // Unit tests for the Node server: service timing, EDF dispatch order,
-// external/local abortion, non-abortable directives, and preemption.
+// external/local abortion, non-abortable directives, preemption, and
+// what the outcome handler is told, and when.
 #include "src/sched/node.hpp"
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/sched/edf.hpp"
@@ -49,7 +51,9 @@ TEST(Node, SingleTaskServiceTiming) {
   sim::Engine e;
   Node n(e, edf(), cfg());
   std::vector<TaskPtr> done;
-  n.set_completion_handler([&](const TaskPtr& t) { done.push_back(t); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kCompleted) done.push_back(t);
+  });
 
   TaskPtr t = make_local_task(1, 0, 0.0, 2.5, 10.0);
   n.submit(t);
@@ -68,8 +72,9 @@ TEST(Node, QueuedTasksServedInEdfOrder) {
   sim::Engine e;
   Node n(e, edf(), cfg());
   std::vector<std::uint64_t> order;
-  n.set_completion_handler(
-      [&](const TaskPtr& t) { order.push_back(t->id); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kCompleted) order.push_back(t->id);
+  });
 
   // First task occupies the server; the other two queue and are served in
   // deadline order (3 before 2) despite submission order.
@@ -84,8 +89,9 @@ TEST(Node, NonPreemptiveByDefault) {
   sim::Engine e;
   Node n(e, edf(), cfg());
   std::vector<std::uint64_t> order;
-  n.set_completion_handler(
-      [&](const TaskPtr& t) { order.push_back(t->id); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kCompleted) order.push_back(t->id);
+  });
 
   n.submit(make_local_task(1, 0, 0.0, 5.0, 100.0));
   e.at(1.0, [&] { n.submit(make_local_task(2, 0, 1.0, 1.0, 2.0)); });
@@ -99,8 +105,9 @@ TEST(Node, PreemptiveResume) {
   sim::Engine e;
   Node n(e, edf(), cfg(0, LocalAbortPolicy::kNone, /*preemptive=*/true));
   std::vector<std::pair<std::uint64_t, double>> done;
-  n.set_completion_handler(
-      [&](const TaskPtr& t) { done.push_back({t->id, t->finished_at}); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kCompleted) done.push_back({t->id, t->finished_at});
+  });
 
   n.submit(make_local_task(1, 0, 0.0, 5.0, 100.0));
   e.at(1.0, [&] { n.submit(make_local_task(2, 0, 1.0, 1.0, 2.5)); });
@@ -144,7 +151,9 @@ TEST(Node, ExternalAbortRunningTaskFreesServer) {
   sim::Engine e;
   Node n(e, edf(), cfg());
   std::vector<std::uint64_t> done;
-  n.set_completion_handler([&](const TaskPtr& t) { done.push_back(t->id); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kCompleted) done.push_back(t->id);
+  });
 
   TaskPtr victim = make_local_task(1, 0, 0.0, 10.0, 100.0);
   TaskPtr next = make_local_task(2, 0, 0.0, 1.0, 100.0);
@@ -175,7 +184,9 @@ TEST(Node, LocalAbortExpiredOnArrival) {
   sim::Engine e;
   Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   std::vector<TaskPtr> aborted;
-  n.set_abort_handler([&](const TaskPtr& t) { aborted.push_back(t); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kLocalAbort) aborted.push_back(t);
+  });
 
   e.at(5.0, [&] {
     TaskPtr t = make_local_task(1, 0, 5.0, 1.0, 9.0);
@@ -193,7 +204,9 @@ TEST(Node, LocalAbortMidService) {
   sim::Engine e;
   Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   std::vector<TaskPtr> aborted;
-  n.set_abort_handler([&](const TaskPtr& t) { aborted.push_back(t); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kLocalAbort) aborted.push_back(t);
+  });
 
   TaskPtr t = make_local_task(1, 0, 0.0, 10.0, 4.0);  // needs 10, dl at 4
   n.submit(t);
@@ -209,9 +222,10 @@ TEST(Node, LocalAbortQueuedTaskAtItsDeadline) {
   Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   std::vector<std::uint64_t> aborted;
   std::vector<std::uint64_t> completed;
-  n.set_abort_handler([&](const TaskPtr& t) { aborted.push_back(t->id); });
-  n.set_completion_handler(
-      [&](const TaskPtr& t) { completed.push_back(t->id); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kLocalAbort) aborted.push_back(t->id);
+    if (o == Node::Outcome::kCompleted) completed.push_back(t->id);
+  });
 
   n.submit(make_local_task(1, 0, 0.0, 5.0, 100.0));  // hogs the server
   n.submit(make_local_task(2, 0, 0.0, 1.0, 3.0));    // dies in queue at t=3
@@ -224,8 +238,9 @@ TEST(Node, NonAbortableTaskSurvivesPolicy) {
   sim::Engine e;
   Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   std::vector<std::uint64_t> completed;
-  n.set_completion_handler(
-      [&](const TaskPtr& t) { completed.push_back(t->id); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kCompleted) completed.push_back(t->id);
+  });
 
   TaskPtr t = make_local_task(1, 0, 0.0, 10.0, 4.0);
   t->non_abortable = true;  // §7.3 "special directives"
@@ -240,7 +255,9 @@ TEST(Node, CompletionCancelsAbortTimer) {
   sim::Engine e;
   Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   int aborts = 0;
-  n.set_abort_handler([&](const TaskPtr&) { ++aborts; });
+  n.set_outcome_handler([&](const TaskPtr&, Node::Outcome o) {
+    if (o == Node::Outcome::kLocalAbort) ++aborts;
+  });
   n.submit(make_local_task(1, 0, 0.0, 1.0, 5.0));  // finishes well before dl
   e.run();
   EXPECT_EQ(aborts, 0);
@@ -255,9 +272,10 @@ TEST(Node, PreemptionPlusLocalAbortInteraction) {
   sim::Engine e;
   Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline, true));
   std::vector<std::uint64_t> aborted, completed;
-  n.set_abort_handler([&](const TaskPtr& t) { aborted.push_back(t->id); });
-  n.set_completion_handler(
-      [&](const TaskPtr& t) { completed.push_back(t->id); });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kLocalAbort) aborted.push_back(t->id);
+    if (o == Node::Outcome::kCompleted) completed.push_back(t->id);
+  });
 
   // Task 1: needs 6, deadline 5 -> will be preempted at t=1, then die at 5.
   n.submit(make_local_task(1, 0, 0.0, 6.0, 5.0));
@@ -280,7 +298,9 @@ TEST(Node, SpeedAndLocalAbortAccounting) {
   c.speed = 2.0;
   Node n(e, edf(), c);
   TaskPtr victim;
-  n.set_abort_handler([&](const TaskPtr& t) { victim = t; });
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    if (o == Node::Outcome::kLocalAbort) victim = t;
+  });
   n.submit(make_local_task(1, 0, 0.0, 10.0, 3.0));  // 5 wall units needed
   e.run();
   ASSERT_NE(victim, nullptr);
@@ -294,11 +314,101 @@ TEST(Node, ObserverAndHandlersBothFire) {
   Node n(e, edf(), cfg());
   int observed = 0, handled = 0;
   n.set_observer([&](Node::Event, const task::SimpleTask&) { ++observed; });
-  n.set_completion_handler([&](const TaskPtr&) { ++handled; });
+  n.set_outcome_handler([&](const TaskPtr&, Node::Outcome o) {
+    if (o == Node::Outcome::kCompleted) ++handled;
+  });
   n.submit(make_local_task(1, 0, 0.0, 1.0, 5.0));
   e.run();
   EXPECT_EQ(observed, 3);  // submit, start, complete
   EXPECT_EQ(handled, 1);
+}
+
+// A completion is reported while the server is still idle: a task the
+// handler submits competes with the queue for the next pick (the
+// counterpart of NodeFaults.NextJobStartsBeforeTheFailureHandlerRuns).
+TEST(NodeOutcome, CompletionIsReportedBeforeTheNextPick) {
+  sim::Engine e;
+  Node n(e, edf(), cfg());
+  std::vector<std::uint64_t> done;
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    ASSERT_EQ(o, Node::Outcome::kCompleted);
+    done.push_back(t->id);
+    if (t->id == 1) {
+      EXPECT_EQ(n.in_service(), nullptr);
+      EXPECT_EQ(n.queue_length(), 1u);  // task 2 not yet picked
+      n.submit(make_local_task(3, 0, e.now(), 1.0, 5.0));
+    }
+  });
+  n.submit(make_local_task(1, 0, 0.0, 2.0, 100.0));
+  n.submit(make_local_task(2, 0, 0.0, 1.0, 50.0));
+  e.run();
+  // Task 3's earlier deadline wins the pick made after the handler.
+  EXPECT_EQ(done, (std::vector<std::uint64_t>{1, 3, 2}));
+}
+
+TEST(NodeOutcome, LocalAbortIsReportedBeforeTheNextPick) {
+  sim::Engine e;
+  Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
+  std::vector<std::pair<std::uint64_t, Node::Outcome>> log;
+  n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
+    log.emplace_back(t->id, o);
+    if (o == Node::Outcome::kLocalAbort) {
+      EXPECT_EQ(n.in_service(), nullptr);
+      EXPECT_EQ(n.queue_length(), 1u);  // task 2 not yet picked
+      // Resubmitted with its expired deadline, the victim goes first.
+      t->non_abortable = true;
+      n.submit(t);
+    }
+  });
+  n.submit(make_local_task(1, 0, 0.0, 10.0, 4.0));   // aborted at 4
+  n.submit(make_local_task(2, 0, 0.0, 1.0, 100.0));  // queued behind it
+  e.run();
+  using O = Node::Outcome;
+  EXPECT_EQ(log, (std::vector<std::pair<std::uint64_t, O>>{
+                     {1, O::kLocalAbort},
+                     {1, O::kCompleted},
+                     {2, O::kCompleted}}));
+  EXPECT_DOUBLE_EQ(e.now(), 15.0);  // 4 wasted + 10 for task 1 + 1 for task 2
+}
+
+TEST(NodeOutcome, ExternalAbortReportsNoOutcome) {
+  sim::Engine e;
+  Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
+  std::vector<std::pair<std::uint64_t, Node::Outcome>> log;
+  n.set_outcome_handler(
+      [&](const TaskPtr& t, Node::Outcome o) { log.emplace_back(t->id, o); });
+  TaskPtr running = make_local_task(1, 0, 0.0, 5.0, 10.0);
+  TaskPtr queued = make_local_task(2, 0, 0.0, 1.0, 20.0);
+  n.submit(running);
+  n.submit(queued);
+  e.at(1.0, [&] {
+    EXPECT_TRUE(n.abort(*queued));
+    EXPECT_TRUE(n.abort(*running));
+  });
+  e.run();
+  // Neither abort is reported, and both abort timers died with the tasks.
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(n.aborted_externally(), 2u);
+  EXPECT_EQ(n.aborted_locally(), 0u);
+  EXPECT_EQ(e.events_pending(), 0u);
+}
+
+TEST(NodeOutcome, DiscardingCrashReportsEachVictimFailedOnce) {
+  sim::Engine e;
+  Node n(e, edf(), cfg());
+  std::vector<std::pair<std::uint64_t, Node::Outcome>> log;
+  n.set_outcome_handler(
+      [&](const TaskPtr& t, Node::Outcome o) { log.emplace_back(t->id, o); });
+  n.submit(make_local_task(1, 0, 0.0, 5.0, 10.0));  // in service
+  n.submit(make_local_task(2, 0, 0.0, 1.0, 20.0));  // queued
+  n.submit(make_local_task(3, 0, 0.0, 1.0, 30.0));  // queued
+  e.at(2.0, [&] { n.crash(/*discard_queue=*/true); });
+  e.at(4.0, [&] { n.recover(); });
+  e.run();
+  using O = Node::Outcome;
+  EXPECT_EQ(log, (std::vector<std::pair<std::uint64_t, O>>{
+                     {1, O::kFailed}, {2, O::kFailed}, {3, O::kFailed}}));
+  EXPECT_EQ(n.failed(), 3u);
 }
 
 TEST(Node, UtilizationAndLittleLaw) {

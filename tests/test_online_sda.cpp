@@ -38,8 +38,10 @@ class OnlineSda : public ::testing::Test {
     pc.ssp = core::make_ssp_strategy(ssp);
     pm = std::make_unique<ProcessManager>(*engine, node_ptrs, std::move(pc));
     for (auto& n : nodes) {
-      n->set_completion_handler(
-          [this](const TaskPtr& t) { pm->handle_completion(t); });
+      n->set_outcome_handler(
+          [this](const TaskPtr& t, sched::Node::Outcome o) {
+            pm->handle_outcome(t, o);
+          });
     }
     pm->set_subtask_handler([this](const task::SimpleTask& t) {
       dispatched.push_back(t);

@@ -49,10 +49,9 @@ class PmTest : public ::testing::Test {
     pm->set_subtask_handler(
         [this](const task::SimpleTask& t) { terminal_subtasks.push_back(t); });
     for (auto& n : nodes) {
-      n->set_completion_handler(
-          [this](const TaskPtr& t) { pm->handle_completion(t); });
-      n->set_abort_handler(
-          [this](const TaskPtr& t) { pm->handle_local_abort(t); });
+      n->set_outcome_handler([this](const TaskPtr& t, sched::Node::Outcome o) {
+        pm->handle_outcome(t, o);
+      });
     }
   }
 
@@ -243,10 +242,9 @@ TEST_F(PmTest, NonAbortableDirectiveProtectsSubtasks) {
   pm->set_global_handler(
       [this](const GlobalTaskRecord& r) { finished.push_back(r); });
   for (auto& n : nodes) {
-    n->set_completion_handler(
-        [this](const TaskPtr& t) { pm->handle_completion(t); });
-    n->set_abort_handler(
-        [this](const TaskPtr& t) { pm->handle_local_abort(t); });
+    n->set_outcome_handler([this](const TaskPtr& t, sched::Node::Outcome o) {
+      pm->handle_outcome(t, o);
+    });
   }
   // GF virtual deadlines are pre-expired, but the directive makes subtasks
   // immune to the local abort policy.

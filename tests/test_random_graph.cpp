@@ -28,8 +28,10 @@ class RandomGraphTest : public ::testing::Test {
     pc.ssp = core::make_ssp_strategy("eqf");
     pm = std::make_unique<core::ProcessManager>(engine, ptrs, std::move(pc));
     for (auto& n : nodes) {
-      n->set_completion_handler(
-          [this](const task::TaskPtr& t) { pm->handle_completion(t); });
+      n->set_outcome_handler(
+          [this](const task::TaskPtr& t, sched::Node::Outcome o) {
+            pm->handle_outcome(t, o);
+          });
     }
   }
 

@@ -54,12 +54,9 @@ class RecoveryTest : public ::testing::Test {
     pm->set_subtask_handler(
         [this](const task::SimpleTask& t) { terminal_subtasks.push_back(t); });
     for (auto& n : nodes) {
-      n->set_completion_handler(
-          [this](const TaskPtr& t) { pm->handle_completion(t); });
-      n->set_abort_handler(
-          [this](const TaskPtr& t) { pm->handle_local_abort(t); });
-      n->set_failure_handler(
-          [this](const TaskPtr& t) { pm->handle_failure(t); });
+      n->set_outcome_handler([this](const TaskPtr& t, sched::Node::Outcome o) {
+        pm->handle_outcome(t, o);
+      });
     }
   }
 

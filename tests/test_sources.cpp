@@ -26,7 +26,9 @@ TEST(LocalSource, RateAndAttributes) {
 
   std::vector<task::TaskPtr> seen;
   util::RunningStat exec, slack;
-  node.set_completion_handler([&](const task::TaskPtr& t) {
+  node.set_outcome_handler([&](const task::TaskPtr& t,
+                               sched::Node::Outcome o) {
+    if (o != sched::Node::Outcome::kCompleted) return;
     exec.add(t->attrs.exec_time);
     slack.add(t->attrs.slack());
     // Deadline relation dl = ar + ex + sl with slack in [1.25, 5].
@@ -115,8 +117,10 @@ class GlobalSourceTest : public ::testing::Test {
     pm = std::make_unique<core::ProcessManager>(engine, node_ptrs,
                                                 std::move(pc));
     for (auto& n : nodes) {
-      n->set_completion_handler(
-          [this](const task::TaskPtr& t) { pm->handle_completion(t); });
+      n->set_outcome_handler(
+          [this](const task::TaskPtr& t, sched::Node::Outcome o) {
+            pm->handle_outcome(t, o);
+          });
     }
   }
 
