@@ -27,7 +27,6 @@
 #include "src/exp/runner.hpp"
 #include "src/sched/edf.hpp"
 #include "src/sim/engine.hpp"
-#include "src/sim/fabric.hpp"
 #include "src/task/notation.hpp"
 #include "src/util/rng.hpp"
 
@@ -541,29 +540,6 @@ BENCHMARK(BM_WholeReplicationSharded)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
-
-// The fabric's per-message cost in isolation: one shard-pair outbox,
-// ring-sized batches and spill-sized batches.
-void BM_CrossShardQueuePushDrain(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
-  sim::CrossShardQueue q;
-  std::vector<sim::Message> out;
-  out.reserve(static_cast<std::size_t>(batch));
-  for (auto _ : state) {
-    for (int i = 0; i < batch; ++i) {
-      sim::Message m;
-      m.deliver_at = static_cast<double>(i);
-      m.dst_lane = i;
-      m.fn = [] {};
-      q.push(std::move(m));
-    }
-    out.clear();
-    q.drain(out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_CrossShardQueuePushDrain)->Arg(64)->Arg(256)->Arg(4096);
 
 }  // namespace
 

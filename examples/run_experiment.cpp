@@ -1,21 +1,25 @@
 // General-purpose experiment driver: configure any system/workload/strategy
 // combination from the command line, run it, and print per-class results
-// (optionally exporting a load sweep as CSV).
+// (optionally exporting a load sweep as CSV).  Config fields are set as
+// key=value, through the same ExperimentConfig::set front door as sda_run:
+// an unknown key or an unparsable value is an error, not a default.
 //
 // Examples:
-//   run_experiment --psp div-1 --load 0.6
-//   run_experiment --scenario stock-trading --ssp eqf --psp div-1
-//   run_experiment --psp gf --sweep-load 0.3:0.9:7 --csv out.csv
-//   run_experiment --k 8 --n 6 --frac-local 0.5 --pm-abort
+//   run_experiment psp=div-1 load=0.6
+//   run_experiment --scenario stock-trading ssp=eqf psp=div-1
+//   run_experiment psp=gf --sweep-load 0.3:0.9:7 --csv out.csv
+//   run_experiment k=8 n_min=6 n_max=6 frac_local=0.5 pm_abort=real-deadline
 //   run_experiment --help
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/exp/csv.hpp"
 #include "src/exp/runner.hpp"
 #include "src/exp/sweep.hpp"
 #include "src/metrics/task_class.hpp"
-#include "src/util/flags.hpp"
 #include "src/util/table.hpp"
 #include "src/workload/scenarios.hpp"
 
@@ -25,31 +29,35 @@ using namespace sda;
 
 void print_usage() {
   std::printf(
-      "usage: run_experiment [flags]\n"
-      "  system:    --k N  --policy edf|fifo|spt|llf  --preemptive\n"
-      "  strategy:  --psp ud|div-<x>|gf  --ssp ud|ed|eqs|eqf\n"
-      "  abortion:  --pm-abort  --local-abort  --non-abortable\n"
-      "  workload:  --load X  --frac-local X  --n N  --n-min A --n-max B\n"
-      "             --scenario NAME  --placement uniform|least-queued\n"
-      "             --exec-spread S  --pex-noise F  --burst B\n"
-      "             --links L  --msg-time T   (scenario workloads only)\n"
-      "             --service-dist exponential|deterministic|uniform|hyperexp\n"
-      "             --service-cv CV            (hyperexp only)\n"
-      "  run:       --sim-time T  --reps R  --seed S  --warmup F\n"
-      "  sweep:     --sweep-load LO:HI:STEPS   --csv FILE\n"
-      "  misc:      --scenarios (list)  --help\n");
+      "usage: run_experiment [key=value ...] [flags]\n"
+      "  key=value                  set a config field, e.g. psp=gf load=0.9\n"
+      "                             reps=1 (`sda_run --list-keys` lists them)\n"
+      "  --scenario NAME            graph workload shaped like a scenario\n"
+      "  --sweep-load LO:HI:STEPS   sweep the load, one report per point\n"
+      "  --csv FILE                 also write the sweep as CSV\n"
+      "  --scenarios                list the scenarios\n"
+      "  --help                     this text\n");
 }
 
 std::vector<double> parse_sweep(const std::string& spec) {
-  // "lo:hi:steps"
+  // "lo:hi:steps"; each part must parse whole ("0.3x" is an error, not 0.3).
   const auto c1 = spec.find(':');
   const auto c2 = spec.find(':', c1 + 1);
   if (c1 == std::string::npos || c2 == std::string::npos) {
     throw std::invalid_argument("--sweep-load wants LO:HI:STEPS");
   }
-  const double lo = std::stod(spec.substr(0, c1));
-  const double hi = std::stod(spec.substr(c1 + 1, c2 - c1 - 1));
-  const int steps = std::stoi(spec.substr(c2 + 1));
+  const auto whole = [&](std::size_t used, std::size_t from, std::size_t to) {
+    if (used != to - from) {
+      throw std::invalid_argument("--sweep-load: cannot parse '" + spec + "'");
+    }
+  };
+  std::size_t used = 0;
+  const double lo = std::stod(spec.substr(0, c1), &used);
+  whole(used, 0, c1);
+  const double hi = std::stod(spec.substr(c1 + 1, c2 - c1 - 1), &used);
+  whole(used, c1 + 1, c2);
+  const int steps = std::stoi(spec.substr(c2 + 1), &used);
+  whole(used, c2 + 1, spec.size());
   return exp::linspace(lo, hi, steps);
 }
 
@@ -72,68 +80,44 @@ void print_report(const metrics::Report& report) {
 
 int main(int argc, char** argv) {
   try {
-    const util::Flags flags(argc, argv);
-    if (flags.has("help")) {
-      print_usage();
-      return 0;
-    }
-    if (flags.has("scenarios")) {
-      for (const auto& s : workload::scenarios()) {
-        std::printf("%-14s %s\n", s.name.c_str(), s.description.c_str());
-      }
-      return 0;
-    }
-
     exp::ExperimentConfig c = exp::baseline_config();
-    c.k = static_cast<int>(flags.get_int("k", c.k));
-    c.scheduler_policy = flags.get_string("policy", c.scheduler_policy);
-    c.preemptive = flags.get_bool("preemptive", c.preemptive);
-    c.psp = flags.get_string("psp", c.psp);
-    c.ssp = flags.get_string("ssp", c.ssp);
-    if (flags.get_bool("pm-abort")) {
-      c.pm_abort = core::PmAbortMode::kRealDeadline;
+    std::vector<double> loads;  // empty: a single run, no sweep
+    std::string csv_path;
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
+        return argv[++i];
+      };
+      if (arg == "--help") {
+        print_usage();
+        return 0;
+      } else if (arg == "--scenarios") {
+        for (const auto& s : workload::scenarios()) {
+          std::printf("%-14s %s\n", s.name.c_str(), s.description.c_str());
+        }
+        return 0;
+      } else if (arg == "--scenario") {
+        const workload::Scenario& s = workload::find_scenario(value());
+        c.global_kind = exp::GlobalKind::kGraph;
+        c.stage_widths = s.stage_widths;
+      } else if (arg == "--sweep-load") {
+        loads = parse_sweep(value());
+      } else if (arg == "--csv") {
+        csv_path = value();
+      } else {
+        const std::size_t eq = arg.find('=');
+        if (eq == std::string::npos || eq == 0) {
+          throw std::invalid_argument("unknown argument '" + arg +
+                                      "' (see --help)");
+        }
+        std::string key = arg.substr(0, eq);
+        if (key == "reps") key = "replications";  // sda_run's one shorthand
+        c.set(key, arg.substr(eq + 1));
+      }
     }
-    if (flags.get_bool("local-abort")) {
-      c.local_abort = sched::LocalAbortPolicy::kAbortOnVirtualDeadline;
-    }
-    c.subtasks_non_abortable = flags.get_bool("non-abortable");
-    c.load = flags.get_double("load", c.load);
-    c.frac_local = flags.get_double("frac-local", c.frac_local);
-    if (flags.has("n")) {
-      c.n_min = c.n_max = static_cast<int>(flags.get_int("n", c.n_min));
-    }
-    c.n_min = static_cast<int>(flags.get_int("n-min", c.n_min));
-    c.n_max = static_cast<int>(flags.get_int("n-max", c.n_max));
-    if (flags.has("scenario")) {
-      const workload::Scenario& s =
-          workload::find_scenario(flags.get_string("scenario"));
-      c.global_kind = exp::GlobalKind::kGraph;
-      c.stage_widths = s.stage_widths;
-    }
-    c.placement = flags.get_string("placement", c.placement);
-    c.subtask_exec_spread =
-        flags.get_double("exec-spread", c.subtask_exec_spread);
-    c.local_burst_factor = flags.get_double("burst", c.local_burst_factor);
-    c.link_count = static_cast<int>(flags.get_int("links", c.link_count));
-    c.mean_msg_time = flags.get_double("msg-time", c.mean_msg_time);
-    c.service_dist = flags.get_string("service-dist", c.service_dist);
-    c.service_cv = flags.get_double("service-cv", c.service_cv);
-    if (flags.has("pex-noise")) {
-      c.pex = workload::PexModel::log_uniform(
-          flags.get_double("pex-noise", 2.0));
-    }
-    c.sim_time = flags.get_double("sim-time", c.sim_time);
-    c.replications = static_cast<int>(flags.get_int("reps", c.replications));
-    c.seed = static_cast<std::uint64_t>(
-        flags.get_int("seed", static_cast<std::int64_t>(c.seed)));
-    c.warmup_fraction = flags.get_double("warmup", c.warmup_fraction);
-
-    const std::string sweep_spec = flags.get_string("sweep-load");
-    const std::string csv_path = flags.get_string("csv");
-
-    for (const std::string& flag : flags.unused()) {
-      std::fprintf(stderr, "warning: unknown flag --%s (see --help)\n",
-                   flag.c_str());
+    if (!csv_path.empty() && loads.empty()) {
+      throw std::invalid_argument("--csv writes a sweep: add --sweep-load");
     }
 
     // Fail fast with every problem listed, not just the first.
@@ -146,12 +130,11 @@ int main(int argc, char** argv) {
     }
 
     std::printf("system: %s\n\n", c.describe().c_str());
-    if (sweep_spec.empty()) {
+    if (loads.empty()) {
       print_report(exp::run_experiment(c));
       return 0;
     }
 
-    const auto loads = parse_sweep(sweep_spec);
     const auto points = exp::sweep(
         c, loads, [](exp::ExperimentConfig& cfg, double l) { cfg.load = l; });
     for (const auto& p : points) {

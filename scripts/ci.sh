@@ -32,7 +32,9 @@
 #   8. socket front door — spawn `--serve --listen 127.0.0.1:0 --journal`,
 #      submit over TCP, SIGTERM drain, then verify the drain summary's
 #      journal fingerprint against an offline `--recover-check` replay;
-#      finally a TSan build/run of the multi-client server test.
+#      finally a TSan build/run of the multi-client server test, the
+#      fork-join pool and the sharded fabric (test_net, test_thread_pool,
+#      test_pdes).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -356,10 +358,12 @@ print(f"drain + replay ok: journal fingerprint {recover['fingerprint']} "
 PY
 
 echo ""
-echo "--- TSan pass over the multi-client server ---"
+echo "--- TSan pass: multi-client server, fork-join pool, sharded fabric ---"
 cmake --preset tsan > /dev/null
-cmake --build build-tsan --target test_net -j "$(nproc)"
-ctest --test-dir build-tsan -R test_net --output-on-failure
+cmake --build build-tsan --target test_net test_thread_pool test_pdes \
+  -j "$(nproc)"
+ctest --test-dir build-tsan -R '^(test_net|test_thread_pool|test_pdes)$' \
+  --output-on-failure
 
 echo ""
 echo "CI gate passed."

@@ -85,7 +85,7 @@ constexpr std::uint64_t replication_seed(std::uint64_t base_seed,
 
 /// Runs config.replications independent replications (seeds derived from
 /// config.seed via replication_seed) and aggregates per-class miss rates
-/// into a Report.  Replications run on the shared work-stealing pool
+/// into a Report.  Replications run on the shared fork-join executor
 /// (sized by SDA_THREADS / hardware_concurrency); results are folded in
 /// replication order, so the Report is bit-identical to a sequential run.
 metrics::Report run_experiment(const ExperimentConfig& config);

@@ -266,7 +266,7 @@ std::optional<std::uint64_t> ServeSession::handle_line_impl(
     const double ns = static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
     if (options_.measure_latency) {
-      latency_samples_ns_.push_back(ns);
+      latency_ns_.add(ns);
       busy_seconds_ += ns * 1e-9;
     }
     if (options_.decision_deadline_ns > 0 &&
@@ -351,9 +351,7 @@ void ServeSession::finish(std::vector<Reply>& replies,
       .kv("to_normal", stats.to_normal)
       .end_object();
   if (options_.measure_latency) {
-    metrics::LogHistogram latency_ns(1.0, 1e9, 8);  // 1 ns .. 1 s
-    for (const double ns : latency_samples_ns_) latency_ns.add(ns);
-    const metrics::Quantiles q = metrics::summarize(latency_ns);
+    const metrics::Quantiles q = metrics::summarize(latency_ns_);
     w.key("assign_latency_ns")
         .begin_object()
         .kv("count", static_cast<std::uint64_t>(q.count))

@@ -52,6 +52,7 @@
 #include "src/core/admission.hpp"
 #include "src/exp/journal.hpp"
 #include "src/exp/protocol.hpp"
+#include "src/metrics/percentile.hpp"
 #include "src/util/mutex.hpp"
 #include "src/util/thread_annotations.hpp"
 
@@ -239,7 +240,8 @@ class ServeSession {
   std::set<std::uint64_t> live_ SDA_GUARDED_BY(owner_);
   ServeResult result_ SDA_GUARDED_BY(owner_);
   // Latency accounting (only when measure_latency / decision deadline).
-  std::vector<double> latency_samples_ns_ SDA_GUARDED_BY(owner_);
+  // A 1 ns .. 1 s histogram: constant memory however long the service runs.
+  metrics::LogHistogram latency_ns_ SDA_GUARDED_BY(owner_){1.0, 1e9, 8};
   double busy_seconds_ SDA_GUARDED_BY(owner_) = 0.0;
 };
 

@@ -29,7 +29,7 @@ using ApplyFn = util::FunctionRef<void(ExperimentConfig&, double)>;
 /// runs).
 ///
 /// Execution is flattened to (point x replication) cells on the shared
-/// work-stealing pool, so a whole figure saturates every core instead of
+/// fork-join executor, so a whole figure saturates every core instead of
 /// parallelizing only within one point's replications.  Cells are folded
 /// back in (point, replication) order, which keeps every Report
 /// bit-identical to the sequential path regardless of pool size.

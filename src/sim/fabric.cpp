@@ -43,25 +43,6 @@ void PathKey::push(std::uint64_t v) {
   ++depth;
 }
 
-void CrossShardQueue::push(Message m) {
-  if (count_ < ring_.size()) {
-    ring_[(head_ + count_) % ring_.size()] = std::move(m);
-    ++count_;
-  } else {
-    spill_.push_back(std::move(m));
-  }
-}
-
-void CrossShardQueue::drain(std::vector<Message>& out) {
-  for (std::size_t i = 0; i < count_; ++i) {
-    out.push_back(std::move(ring_[(head_ + i) % ring_.size()]));
-  }
-  head_ = 0;
-  count_ = 0;
-  for (Message& m : spill_) out.push_back(std::move(m));
-  spill_.clear();
-}
-
 void NodeStatusBoard::add_outage(int node, Time down_at, Time up_at) {
   if (node < 0 || static_cast<std::size_t>(node) >= outages_.size()) return;
   outages_[static_cast<std::size_t>(node)].emplace_back(down_at, up_at);
@@ -96,9 +77,8 @@ Fabric::Fabric(const Options& opt) : opt_(opt) {
     sh->engine = std::make_unique<Engine>(make_timer_queue(opt_.timer_queue));
     shards_.push_back(std::move(sh));
   }
-  outboxes_ = std::vector<CrossShardQueue>(
-      static_cast<std::size_t>(opt_.shards) *
-      static_cast<std::size_t>(opt_.shards));
+  outboxes_.resize(static_cast<std::size_t>(opt_.shards) *
+                   static_cast<std::size_t>(opt_.shards));
   runs_.resize(static_cast<std::size_t>(opt_.shards));
 }
 
@@ -112,7 +92,7 @@ void Fabric::post(int src_lane, int dst_lane, EventFn fn) {
   m.key = s.cur_path.child(s.next_child++);
   m.fn = std::move(fn);
   ++s.posted;
-  outbox(s.index, shard_of(dst_lane)).push(std::move(m));
+  outbox(s.index, shard_of(dst_lane)).push_back(std::move(m));
 }
 
 void Fabric::emit_trace(int src_lane, const metrics::TraceRecord& rec) {
@@ -272,7 +252,10 @@ void Fabric::drain_phase(int shard) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
   sh.inbound.clear();
   for (int src = 0; src < opt_.shards; ++src) {
-    outbox(src, shard).drain(sh.inbound);
+    std::vector<Message>& box = outbox(src, shard);
+    sh.inbound.insert(sh.inbound.end(), std::make_move_iterator(box.begin()),
+                      std::make_move_iterator(box.end()));
+    box.clear();  // keeps the capacity for the next window
   }
   if (sh.inbound.empty()) return;
   // Deterministic delivery order: (time, origin path) is a total order

@@ -12,9 +12,11 @@
 // Cross-lane interaction never touches another lane's objects directly;
 // it travels as a *message*: a callback plus a delivery time
 // (post time + latency L, the modeled control-plane message latency and
-// the PDES lookahead).  Messages are buffered in per-shard-pair
-// single-producer/single-consumer queues and exchanged only at window
-// boundaries:
+// the PDES lookahead).  Messages are buffered in one plain vector per
+// (source shard, destination shard) pair and exchanged only at window
+// boundaries: the source appends during the run phase, the destination
+// drains after the barrier, and the barrier is the only synchronization
+// the vector needs:
 //
 //   loop:
 //     (A) every shard publishes the time of its earliest pending event;
@@ -24,7 +26,7 @@
 //         sink records, then leaves its window's records in (time, path)
 //         order (they almost always are already: a check, and a sort only
 //         on exact timestamp ties); barrier.
-//     (C) every shard drains its inbound message queues (sorted by the
+//     (C) every shard drains the outboxes addressed to it (sorted by the
 //         deterministic key below) into its engine, while shard 0 swaps
 //         each shard's sorted records into that shard's *run*; barrier;
 //         repeat.  At the next (A), shard 0 replays every settled record
@@ -122,41 +124,6 @@ struct Message {
   int dst_lane = 0;
   PathKey key;
   EventFn fn;
-};
-
-/// Bounded single-producer/single-consumer message buffer for one
-/// (source shard, destination shard) pair.  Not a concurrent queue: the
-/// producer pushes only during the run phase and the consumer drains
-/// only after the window barrier, which provides the happens-before
-/// edge — so the storage is plain (TSan-clean by phase separation), and
-/// "SPSC" describes the access discipline, not an atomic protocol.
-class CrossShardQueue {
- public:
-  static constexpr std::size_t kDefaultCapacity = 256;
-
-  explicit CrossShardQueue(std::size_t capacity = kDefaultCapacity)
-      : ring_(capacity) {}
-
-  /// Producer side (run phase).  Overflow beyond the ring capacity goes
-  /// to a spill vector: correctness forbids dropping or blocking, so the
-  /// bound covers the common case and bursts degrade to an allocation,
-  /// never a loss.  sda-lint: allow(UNBOUNDED_QUEUE) spill is
-  /// correctness-required (dropping or blocking would deadlock a window)
-  void push(Message m);
-
-  /// Consumer side (post-barrier): appends every buffered message to
-  /// @p out in push order and empties the queue.
-  void drain(std::vector<Message>& out);
-
-  bool empty() const noexcept { return count_ == 0 && spill_.empty(); }
-  std::size_t size() const noexcept { return count_ + spill_.size(); }
-  std::size_t capacity() const noexcept { return ring_.size(); }
-
- private:
-  std::vector<Message> ring_;  // fixed-size circular buffer
-  std::size_t head_ = 0;       // oldest element
-  std::size_t count_ = 0;      // elements in the ring
-  std::vector<Message> spill_;  // sda-lint: allow(UNBOUNDED_QUEUE) see push()
 };
 
 /// Static crash calendar consulted by the process manager instead of
@@ -325,7 +292,7 @@ class Fabric {
     std::size_t end = 0;   ///< set by flush_records: end of the replayable span
   };
 
-  CrossShardQueue& outbox(int src_shard, int dst_shard) noexcept
+  std::vector<Message>& outbox(int src_shard, int dst_shard) noexcept
       SDA_REQUIRES(window_phase_) {
     return outboxes_[static_cast<std::size_t>(src_shard) *
                          static_cast<std::size_t>(opt_.shards) +
@@ -369,8 +336,8 @@ class Fabric {
   /// phase-guarded state below (outboxes, deferred records, the window
   /// counter).
   util::ThreadRole window_phase_;
-  std::vector<CrossShardQueue> outboxes_
-      SDA_GUARDED_BY(window_phase_);  // [src * S + dst]
+  /// Messages posted this window, in push order; [src * S + dst].
+  std::vector<std::vector<Message>> outboxes_ SDA_GUARDED_BY(window_phase_);
   NodeStatusBoard status_;
   metrics::Collector* collector_ = nullptr;
   metrics::Tracer* tracer_ = nullptr;

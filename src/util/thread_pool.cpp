@@ -1,13 +1,14 @@
 #include "src/util/thread_pool.hpp"
 
-#include <deque>
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <exception>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "src/util/env.hpp"
-#include "src/util/mutex.hpp"
-#include "src/util/thread_annotations.hpp"
 
 namespace sda::util {
 
@@ -18,169 +19,44 @@ namespace {
 thread_local bool t_inside_pool_body = false;
 }  // namespace
 
-struct ThreadPool::Impl {
-  /// One in-flight parallel_for.  Heap-held via shared_ptr so a worker
-  /// finishing the last item can release its reference after the caller
-  /// has already returned and destroyed its own.
-  struct Batch {
-    Batch(std::size_t count, FunctionRef<void(std::size_t)> b)
-        : n(count), body(b) {}
-
-    std::size_t n;
-    /// Non-owning view of the caller's body; the caller blocks inside
-    /// parallel_for until done == n, so the referent outlives the batch.
-    FunctionRef<void(std::size_t)> body;
-    // done/error are guarded by Impl::m.  (A nested struct cannot name
-    // the enclosing instance's member in SDA_GUARDED_BY; every access
-    // below happens inside functions that carry SDA_REQUIRES(m).)
-    std::size_t done = 0;
-    std::exception_ptr error;  // first failure
-  };
-
-  explicit Impl(unsigned total) : total_threads(total < 1 ? 1 : total) {
-    const unsigned workers =
-        total_threads > 0 ? total_threads - 1 : 0;
-    queues.resize(workers + 1);  // last queue belongs to the caller
-    threads.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i) {
-      threads.emplace_back([this, i] { worker_loop(i); });
-    }
-  }
-
-  ~Impl() {
-    {
-      LockGuard lk(m);
-      shutdown = true;
-    }
-    work_cv.notify_all();
-    for (std::thread& t : threads) t.join();
-  }
-
-  /// Pops from the participant's own queue (LIFO — freshest work, warm
-  /// caches), else steals the oldest item from another queue (FIFO).
-  /// Returns false when no work exists anywhere.
-  bool take(std::size_t self, std::size_t& out) SDA_REQUIRES(m) {
-    if (!queues[self].empty()) {
-      out = queues[self].back();
-      queues[self].pop_back();
-      --queued;
-      return true;
-    }
-    for (std::size_t i = 1; i < queues.size(); ++i) {
-      auto& victim = queues[(self + i) % queues.size()];
-      if (!victim.empty()) {
-        out = victim.front();
-        victim.pop_front();
-        --queued;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Executes one item and does the end-of-batch bookkeeping.
-  /// Called with m held; drops it around the body, returns with it held.
-  void run_one(const std::shared_ptr<Batch>& batch, std::size_t index)
-      SDA_REQUIRES(m) {
-    m.unlock();
-    std::exception_ptr err;
-    t_inside_pool_body = true;
-    try {
-      batch->body(index);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    t_inside_pool_body = false;
-    m.lock();
-    if (err && !batch->error) batch->error = err;
-    if (++batch->done == batch->n) {
-      current.reset();
-      done_cv.notify_all();
-    }
-  }
-
-  void worker_loop(unsigned worker_index) SDA_EXCLUDES(m) {
-    const std::size_t self = worker_index;  // queue slot
-    m.lock();
-    for (;;) {
-      while (!(shutdown || (current && queued > 0))) work_cv.wait(m);
-      if (shutdown) break;
-      const std::shared_ptr<Batch> batch = current;
-      std::size_t index;
-      while (batch->done < batch->n && take(self, index)) {
-        run_one(batch, index);
-      }
-      // No work left for us; wait for the next batch (or more stolen-back
-      // splits — seeding is the only producer, so "queued > 0" suffices).
-    }
-    m.unlock();
-  }
-
-  void parallel_for(std::size_t n, FunctionRef<void(std::size_t)> body)
-      SDA_EXCLUDES(m, callers_m) {
-    if (n == 0) return;
-    // Sequential modes: no workers, trivial batch, or a nested call from
-    // inside a body (which must not wait on callers_m).
-    if (threads.empty() || n == 1 || t_inside_pool_body) {
-      for (std::size_t i = 0; i < n; ++i) body(i);
-      return;
-    }
-    LockGuard serialize(callers_m);
-    auto batch = std::make_shared<Batch>(n, body);
-    const std::size_t caller_slot = queues.size() - 1;
-    m.lock();
-    // Seed every participant with a contiguous slice, caller included.
-    // Own-queue LIFO then makes each participant chew through its slice
-    // back-to-front while thieves take from the front — minimal overlap.
-    const std::size_t k = queues.size();
-    for (std::size_t slot = 0, next = 0; slot < k; ++slot) {
-      const std::size_t share = n / k + (slot < n % k ? 1 : 0);
-      for (std::size_t j = 0; j < share; ++j) {
-        queues[slot].push_back(next++);
-      }
-    }
-    queued = n;
-    current = batch;
-    work_cv.notify_all();
-    std::size_t index;
-    for (;;) {
-      if (take(caller_slot, index)) {
-        run_one(batch, index);
-        continue;
-      }
-      if (batch->done == batch->n) break;
-      while (!(batch->done == batch->n || queued > 0)) done_cv.wait(m);
-    }
-    // current was reset by whoever finished the last item.
-    const std::exception_ptr err = batch->error;
-    m.unlock();
-    if (err) std::rethrow_exception(err);
-  }
-
-  const unsigned total_threads;
-  std::vector<std::thread> threads;
-
-  Mutex callers_m;  // serializes top-level parallel_for calls
-
-  Mutex m;             // guards the batch state below
-  CondVar work_cv;     // workers sleep here
-  CondVar done_cv;     // the caller sleeps here
-  std::vector<std::deque<std::size_t>> queues SDA_GUARDED_BY(m);
-  std::size_t queued SDA_GUARDED_BY(m) = 0;  // items in queues, untaken
-  std::shared_ptr<Batch> current SDA_GUARDED_BY(m);
-  bool shutdown SDA_GUARDED_BY(m) = false;
-};
-
-ThreadPool::ThreadPool(unsigned threads)
-    : impl_(std::make_unique<Impl>(threads)) {}
-
-ThreadPool::~ThreadPool() = default;
-
-unsigned ThreadPool::threads() const noexcept { return impl_->total_threads; }
-
 void ThreadPool::parallel_for(std::size_t n,
                               FunctionRef<void(std::size_t)> body) {
-  impl_->parallel_for(n, body);
+  if (n == 0) return;
+  // Sequential modes: no workers, trivial batch, or a nested call from
+  // inside a body (which must not wait on callers_m_).
+  if (threads_ <= 1 || n == 1 || t_inside_pool_body) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  LockGuard serialize(callers_m_);
+  std::atomic<std::size_t> next{0};
+  // Exactly one participant wins the flag and writes first_error; the
+  // joins below order that write before the read.
+  std::atomic_flag failed;
+  std::exception_ptr first_error;
+  const auto participate = [&] {
+    t_inside_pool_body = true;
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
+        body(i);
+      } catch (...) {
+        if (!failed.test_and_set()) first_error = std::current_exception();
+      }
+    }
+    t_inside_pool_body = false;
+  };
+  std::vector<std::thread> workers;
+  const std::size_t extra = std::min<std::size_t>(threads_, n) - 1;
+  workers.reserve(extra);
+  try {
+    for (std::size_t w = 0; w < extra; ++w) workers.emplace_back(participate);
+  } catch (const std::system_error&) {
+    // The host refused a thread: the participants already started (and
+    // the caller) still claim every index.
+  }
+  participate();
+  for (std::thread& t : workers) t.join();
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 unsigned ThreadPool::configured_threads() noexcept {

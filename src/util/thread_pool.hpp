@@ -1,15 +1,16 @@
-// Fixed-size work-stealing thread pool for experiment fan-out.
+// Fork-join executor for experiment fan-out.
 //
 // Replications and sweep cells are fully independent simulations, so the
 // only parallel structure the repo needs is "run these N closures, any
-// order, tell me when all are done" — parallel_for().  Work distribution
-// is work-stealing: each participant (worker threads plus the calling
-// thread, which always helps) owns a queue seeded with a contiguous slice
-// of the iteration space, pops its own work LIFO, and steals FIFO from
-// the others when it runs dry.  Items here are entire simulation runs
-// (milliseconds to seconds each), so queue operations are deliberately
-// simple — one pool mutex — rather than lock-free; the steal structure is
-// what matters for load balance, not nanosecond pop latency.
+// order, tell me when all are done" — parallel_for().  Each call forks up
+// to threads() - 1 std::threads; every participant, the caller included,
+// claims the next index from one shared atomic counter until all N are
+// claimed, and the call joins the workers before it returns.  Items here
+// are entire simulation runs (milliseconds to seconds each), so a shared
+// counter balances load as well as any stealing scheme would, and the
+// per-call thread start is noise against them.  A worker's pool_alloc
+// free lists go to the arena's orphan list when it exits
+// (src/util/arena.cpp), so the thread churn does not grow the pool.
 //
 // Determinism: parallel_for only controls *where* closures run.  Callers
 // keep results deterministic by writing into preallocated slots indexed
@@ -20,35 +21,29 @@
 // Sizing: ThreadPool::shared() is sized once per process from
 // SDA_THREADS when set (>= 1; 1 = strictly sequential, closures run
 // inline on the caller in index order) and hardware_concurrency()
-// otherwise, so replication fan-out can never oversubscribe the host the
-// way the old thread-per-replication spawn did.
-//
-// Locking discipline is compiler-checked: the implementation uses the
-// annotated util::Mutex / util::CondVar wrappers (src/util/mutex.hpp),
-// so Clang's -Wthread-safety proves every access to the batch state
-// holds the pool mutex (see DESIGN.md, "Static analysis architecture").
+// otherwise.  Top-level calls are serialized, so two callers sharing a
+// pool never run more than threads() bodies at once.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "src/util/function_ref.hpp"
+#include "src/util/mutex.hpp"
 
 namespace sda::util {
 
 class ThreadPool {
  public:
-  /// Creates a pool with @p threads total participants (including the
-  /// calling thread): threads - 1 workers are spawned.  0 and 1 both mean
-  /// "no workers": parallel_for runs inline, strictly sequentially.
-  explicit ThreadPool(unsigned threads);
-  ~ThreadPool();
+  /// An executor with @p threads total participants (including the
+  /// calling thread).  0 and 1 both mean "no workers": parallel_for runs
+  /// inline, strictly sequentially.
+  explicit ThreadPool(unsigned threads) : threads_(threads < 1 ? 1 : threads) {}
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Total participants (always >= 1).
-  unsigned threads() const noexcept;
+  unsigned threads() const noexcept { return threads_; }
 
   /// Runs body(0) ... body(n-1), each exactly once, in unspecified order
   /// and concurrency, returning when all have finished.  The calling
@@ -56,7 +51,8 @@ class ThreadPool {
   /// serialized; a nested call from inside a body runs inline (no
   /// deadlock, no extra parallelism).  If bodies throw, the first
   /// exception is rethrown here after every item has still been run.
-  void parallel_for(std::size_t n, FunctionRef<void(std::size_t)> body);
+  void parallel_for(std::size_t n, FunctionRef<void(std::size_t)> body)
+      SDA_EXCLUDES(callers_m_);
 
   /// Process-wide pool sized from the environment (see configured_threads).
   /// Created on first use; shared by run_experiment and sweep.
@@ -67,8 +63,8 @@ class ThreadPool {
   static unsigned configured_threads() noexcept;
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  const unsigned threads_;
+  Mutex callers_m_;  // serializes top-level parallel_for calls
 };
 
 }  // namespace sda::util

@@ -4,7 +4,7 @@
 // shards in {2, 4, 8} (the message fabric) must produce the same trace and
 // the same sda.run.v1 record, for every PSP x SSP pair, with and without
 // faults and admission, at zero and nonzero lookahead.  Also unit-covers the fabric's building blocks
-// (PathKey ordering, CrossShardQueue, NodeStatusBoard) and the order in
+// (PathKey ordering, NodeStatusBoard) and the order in
 // which shard 0 replays sink records (exact ties, zero-lookahead
 // leftovers).
 //
@@ -233,31 +233,6 @@ TEST(PathKey, PushBeyondMaxDepthThrows) {
   sim::PathKey k;
   for (int i = 0; i < sim::PathKey::kMaxDepth; ++i) k.push(1);
   EXPECT_THROW(k.push(1), std::logic_error);
-}
-
-TEST(CrossShardQueue, PreservesPushOrderAcrossRingAndSpill) {
-  sim::CrossShardQueue q(4);  // tiny ring: force the spill path
-  for (int i = 0; i < 10; ++i) {
-    sim::Message m;
-    m.deliver_at = static_cast<double>(i);
-    q.push(std::move(m));
-  }
-  EXPECT_EQ(q.size(), 10u);
-  std::vector<sim::Message> out;
-  q.drain(out);
-  ASSERT_EQ(out.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].deliver_at,
-              static_cast<double>(i));  // sda-lint: allow(FLOAT_EQ)
-  }
-  EXPECT_TRUE(q.empty());
-  // Reusable after a drain.
-  sim::Message m;
-  m.deliver_at = 42.0;
-  q.push(std::move(m));
-  out.clear();
-  q.drain(out);
-  ASSERT_EQ(out.size(), 1u);
 }
 
 TEST(NodeStatusBoard, HalfOpenOutageIntervals) {

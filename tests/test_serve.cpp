@@ -279,9 +279,23 @@ TEST(Serve, MonotonicStreamClockIsEnforced) {
 TEST(Serve, TimingSummaryReportsLatencyQuantiles) {
   exp::ServeOptions o = options();
   o.measure_latency = true;
-  const auto [r, out] = run("sub id=1 at=0 deadline=5 tree=a@0:1/1\n", o);
-  EXPECT_EQ(r.decisions, 1u);
-  EXPECT_NE(out.find("\"assign_latency_ns\""), std::string::npos);
+  // Four submissions reach the controller; a duplicate id and a
+  // malformed tree are answered before it and are not timed.
+  const std::string input =
+      "sub id=1 at=0 deadline=5 tree=a@0:1/1\n"
+      "sub id=2 at=1 deadline=5 tree=a@1:1/1\n"
+      "sub id=1 at=1.5 deadline=5 tree=a@0:1/1\n"
+      "sub id=3 at=2 deadline=5 tree=[a@0:1/1 ||\n"
+      "done id=1 at=3\n"
+      "sub id=4 at=4 deadline=5 tree=a@0:1/1\n"
+      "sub id=5 at=5 deadline=5 tree=a@1:1/1\n";
+  const auto [r, out] = run(input, o);
+  EXPECT_EQ(r.decisions, 4u);
+  EXPECT_EQ(r.errors, 2u);
+  const std::string key = "\"assign_latency_ns\":{\"count\":";
+  const std::size_t at = out.find(key);
+  ASSERT_NE(at, std::string::npos) << out;
+  EXPECT_EQ(std::stoull(out.substr(at + key.size())), 4u);
   EXPECT_NE(out.find("\"admissions_per_sec\""), std::string::npos);
 }
 

@@ -1,4 +1,4 @@
-// util::ThreadPool (work-stealing replication executor) and the determinism
+// util::ThreadPool (fork-join replication executor) and the determinism
 // contract of the parallel run_experiment/sweep paths: any pool size must
 // produce bit-identical results to a strictly sequential run.
 #include "src/util/thread_pool.hpp"
@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -105,6 +106,37 @@ TEST(ThreadPool, ConcurrentIndicesAreDisjoint) {
     in_flight.erase(i);
   });
   EXPECT_FALSE(overlap);
+}
+
+TEST(ThreadPool, ConcurrentTopLevelCallersAreSerialized) {
+  // Two threads share one pool: every index of both calls runs exactly
+  // once, and the calls never run more than threads() bodies at once.
+  util::ThreadPool pool(3);
+  constexpr std::size_t kN = 200;
+  std::vector<std::atomic<int>> hits_a(kN);
+  std::vector<std::atomic<int>> hits_b(kN);
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  const auto call = [&](std::vector<std::atomic<int>>& hits) {
+    pool.parallel_for(kN, [&](std::size_t i) {
+      const int now = running.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      hits[i].fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      running.fetch_sub(1);
+    });
+  };
+  std::thread a([&] { call(hits_a); });
+  std::thread b([&] { call(hits_b); });
+  a.join();
+  b.join();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits_a[i].load(), 1) << "first call, index " << i;
+    EXPECT_EQ(hits_b[i].load(), 1) << "second call, index " << i;
+  }
+  EXPECT_LE(peak.load(), 3);
 }
 
 TEST(ThreadPool, ConfiguredThreadsReadsSdaThreads) {
