@@ -13,7 +13,7 @@
 
 #include "bench/common.hpp"
 
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/workload/local_source.hpp"
 #include "src/workload/random_graph.hpp"
 #include "src/workload/rates.hpp"
@@ -38,8 +38,7 @@ Outcome run(const char* psp, const char* ssp, double load,
   for (int i = 0; i < kNodes; ++i) {
     sched::Node::Config nc;
     nc.index = i;
-    nodes.push_back(std::make_unique<sched::Node>(
-        engine, std::make_unique<sched::EdfScheduler>(), nc));
+    nodes.push_back(std::make_unique<sched::Node>(engine, nc));
     ptrs.push_back(nodes.back().get());
   }
   core::ProcessManager::Config pc;

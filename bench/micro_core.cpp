@@ -25,7 +25,7 @@
 #include "src/core/strategy.hpp"
 #include "src/exp/config.hpp"
 #include "src/exp/runner.hpp"
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/sim/engine.hpp"
 #include "src/task/notation.hpp"
 #include "src/util/rng.hpp"
@@ -103,7 +103,7 @@ void BM_EdfPushPop(benchmark::State& state) {
                                           0.0, 1.0, rng.uniform(0.0, 100.0)));
   }
   for (auto _ : state) {
-    sched::EdfScheduler edf;
+    sched::ReadyQueue edf(sched::Policy::kEdf);
     for (const auto& t : tasks) edf.push(t);
     while (edf.size() > 0) benchmark::DoNotOptimize(edf.pop());
   }
@@ -124,7 +124,7 @@ void BM_EdfRemoveMiddle(benchmark::State& state) {
                                           0.0, 1.0, rng.uniform(0.0, 100.0)));
   }
   for (auto _ : state) {
-    sched::EdfScheduler edf;
+    sched::ReadyQueue edf(sched::Policy::kEdf);
     for (const auto& t : tasks) edf.push(t);
     for (int i = 0; i < batch; i += 2) {
       benchmark::DoNotOptimize(edf.remove(*tasks[static_cast<std::size_t>(i)]));
@@ -208,8 +208,7 @@ void BM_ProcessManagerSubmitDrain(benchmark::State& state) {
     for (int i = 0; i < 6; ++i) {
       sched::Node::Config nc;
       nc.index = i;
-      nodes.push_back(std::make_unique<sched::Node>(
-          engine, std::make_unique<sched::EdfScheduler>(), nc));
+      nodes.push_back(std::make_unique<sched::Node>(engine, nc));
       node_ptrs.push_back(nodes.back().get());
     }
     core::ProcessManager::Config pc;

@@ -22,7 +22,7 @@
 
 #include "src/core/process_manager.hpp"
 #include "src/metrics/collector.hpp"
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/workload/global_source.hpp"
 #include "src/workload/local_source.hpp"
 #include "src/workload/rates.hpp"
@@ -59,8 +59,7 @@ double run(std::shared_ptr<const core::PspStrategy> psp, std::uint64_t seed,
   for (int i = 0; i < kNodes; ++i) {
     sched::Node::Config nc;
     nc.index = i;
-    nodes.push_back(std::make_unique<sched::Node>(
-        engine, std::make_unique<sched::EdfScheduler>(), nc));
+    nodes.push_back(std::make_unique<sched::Node>(engine, nc));
     node_ptrs.push_back(nodes.back().get());
   }
 

@@ -13,7 +13,7 @@
 
 #include "src/core/process_manager.hpp"
 #include "src/metrics/timeseries.hpp"
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/util/ascii_chart.hpp"
 #include "src/workload/global_source.hpp"
 #include "src/workload/local_source.hpp"
@@ -37,8 +37,7 @@ metrics::MissTimeSeries run_storm(const char* psp_name, double burst_factor,
   for (int i = 0; i < 6; ++i) {
     sched::Node::Config nc;
     nc.index = i;
-    nodes.push_back(std::make_unique<sched::Node>(
-        engine, std::make_unique<sched::EdfScheduler>(), nc));
+    nodes.push_back(std::make_unique<sched::Node>(engine, nc));
     node_ptrs.push_back(nodes.back().get());
   }
 

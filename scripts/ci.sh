@@ -20,8 +20,9 @@
 #   6. sharded PDES smoke — the same baseline run at shards=1 and
 #      shards=4 must report identical replication fingerprints (the
 #      conservative time-window fabric's bit-identity contract), at
-#      zero lookahead, at net_latency=0.5, and with transient faults at
-#      the default retry backoff; the sharded run's sda.run.v1 lines
+#      zero lookahead, at net_latency=0.5, with transient faults at
+#      the default retry backoff, and under each non-EDF ready-queue
+#      policy (fifo, spt, llf); the sharded run's sda.run.v1 lines
 #      carry the fabric counter block.
 #   7. sda_run --serve smoke — a scripted submission stream through the
 #      admission front door: every line parses as JSON, N submissions get
@@ -181,6 +182,26 @@ if [[ -z "$SERIAL_FP" || "$SERIAL_FP" != "$SHARDED_FP" ]]; then
   exit 1
 fi
 echo "fault smoke ok: fault_rate=0.05 shards=4 reproduces shards=1 ($SERIAL_FP)"
+
+# The non-EDF ready-queue orders on the fabric: FIFO, SPT and LLF pop
+# order (key, then push order) must survive message delivery as EDF's
+# does.
+for policy in fifo spt llf; do
+  for shards in 1 4; do
+    "$BUILD/tools/sda_run" sim_time=2000 reps=2 k=16 net_latency=0.5 \
+      scheduler_policy="$policy" shards="$shards" \
+      > "$SMOKE_DIR/policy_${policy}_${shards}.txt"
+  done
+  SERIAL_FP=$(grep -o "fingerprints:.*" "$SMOKE_DIR/policy_${policy}_1.txt")
+  SHARDED_FP=$(grep -o "fingerprints:.*" "$SMOKE_DIR/policy_${policy}_4.txt")
+  if [[ -z "$SERIAL_FP" || "$SERIAL_FP" != "$SHARDED_FP" ]]; then
+    echo "FAIL: scheduler_policy=$policy sharded fingerprints diverge" >&2
+    echo "  shards=1: $SERIAL_FP" >&2
+    echo "  shards=4: $SHARDED_FP" >&2
+    exit 1
+  fi
+  echo "policy smoke ok: scheduler_policy=$policy shards=4 reproduces shards=1 ($SERIAL_FP)"
+done
 
 echo ""
 echo "=== [7/8] sda_run --serve smoke + schema check ==="

@@ -410,18 +410,6 @@ std::size_t AdmissionController::on_leaf_finished(std::uint64_t ticket,
   return removed;
 }
 
-void AdmissionController::trip_shedding() {
-  util::RoleGuard own(owner_);
-  // Raise the smoothed pressure to the entry threshold: the state flips
-  // now, and the ordinary EWMA decay in refresh() walks it back out
-  // through the same hysteresis exits as a load-driven trip.
-  pressure_ = std::max(pressure_, config_.enter_shedding);
-  if (state_ != OverloadState::kShedding) {
-    state_ = OverloadState::kShedding;
-    ++stats_.to_shedding;
-  }
-}
-
 namespace {
 
 /// Mixes an exact, prefix-free encoding of @p t into @p h: per node a

@@ -206,13 +206,6 @@ class AdmissionController {
   /// already expired — not an error for an admitted run).
   std::size_t on_leaf_finished(std::uint64_t ticket, std::uint32_t leaf);
 
-  /// External overload trip: forces the state machine into shedding
-  /// and raises the smoothed pressure to the shedding threshold so the
-  /// normal hysteresis path governs recovery.  Used by the serve front
-  /// door when decision latency blows its deadline — a wall-clock
-  /// signal the load-derived pressure cannot see.
-  void trip_shedding();
-
   /// FNV-1a fingerprint of the complete decision-relevant state:
   /// overload state, pressure bits, every ledger entry in order, the
   /// retry queue (tickets, deadlines, exact tree serializations), and

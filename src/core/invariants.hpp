@@ -28,8 +28,9 @@
 //       serial stage's deadline equal to the composite's (the partition
 //       property); offline plans monotone along serial chains and
 //       bounded by the global deadline while feasible.
-//   (b) ready-queue heaps: heap order and queue_pos back-link identity
-//       after every mutation (see IndexedTaskHeap::validate);
+//   (b) ready-queue heaps: heap order, queue_pos back-link identity and
+//       stored keys equal to their tasks' policy keys after every
+//       mutation (see sched::ReadyQueue::validate);
 //   (c) event queue: heap order, live-count bookkeeping, no NaN
 //       timestamps, and non-decreasing pop times (see EventQueue hooks).
 #pragma once

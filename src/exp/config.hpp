@@ -33,7 +33,7 @@ struct ExperimentConfig {
   int k = 6;                            ///< number of nodes
   std::string scheduler_policy = "edf"; ///< "edf" | "fifo" | "spt" | "llf"
   sched::LocalAbortPolicy local_abort = sched::LocalAbortPolicy::kNone;
-  bool preemptive = false;              ///< preemptive-resume service (ablation)
+  bool preemptive = false;              ///< preemptive-resume EDF (ablation)
   /// Per-node speed factors (heterogeneous components, a §3.2
   /// generalization).  Empty = homogeneous (all 1.0).  Must have k entries
   /// otherwise; keep the mean at 1.0 for the `load` definition to stay

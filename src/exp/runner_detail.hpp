@@ -40,7 +40,6 @@
 #include "src/metrics/collector.hpp"
 #include "src/metrics/trace.hpp"
 #include "src/sched/node.hpp"
-#include "src/sched/scheduler.hpp"
 #include "src/sim/engine.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/global_source.hpp"
@@ -99,17 +98,18 @@ RunResult run_system(const ExperimentConfig& config, std::uint64_t seed,
   std::vector<std::unique_ptr<sched::Node>> nodes;
   std::vector<sched::Node*> node_ptrs;
   nodes.reserve(static_cast<std::size_t>(total_nodes));
+  const sched::Policy policy = sched::parse_policy(config.scheduler_policy);
   for (int i = 0; i < total_nodes; ++i) {
     sched::Node::Config nc;
     nc.index = i;
+    nc.policy = policy;
     nc.abort_policy = config.local_abort;
     nc.preemptive = config.preemptive;
     if (!config.node_speeds.empty() && i < config.k) {
       nc.speed = config.node_speeds[static_cast<std::size_t>(i)];
     }
-    nodes.push_back(std::make_unique<sched::Node>(
-        wiring.engine_for_lane(i),
-        sched::make_scheduler(config.scheduler_policy), nc));
+    nodes.push_back(
+        std::make_unique<sched::Node>(wiring.engine_for_lane(i), nc));
     node_ptrs.push_back(nodes.back().get());
   }
 

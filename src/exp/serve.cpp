@@ -125,8 +125,8 @@ void ServeSession::emit_decision(std::vector<Reply>& replies,
       options_.retry_hints &&
       (outcome.decision == core::AdmissionDecision::kShed ||
        outcome.decision == core::AdmissionDecision::kBackpressure);
-  const double retry_after =
-      now_ + options_.retry_after_base * (1.0 + outcome.pressure);
+  // One stream-time unit, stretched by the pressure behind the refusal.
+  const double retry_after = now_ + (1.0 + outcome.pressure);
   Reply reply;
   reply.kind = ReplyKind::kDecision;
   reply.has_id = true;
@@ -255,28 +255,16 @@ std::optional<std::uint64_t> ServeSession::handle_line_impl(
   // Earlier-parked submissions get first claim on freed capacity.
   emit_resolved(replies, controller_.pump(now_));
 
-  const bool timing =
-      !replaying_ &&
-      (options_.measure_latency || options_.decision_deadline_ns > 0);
+  const bool timing = options_.measure_latency && !replaying_;
   const Clock::time_point t0 = timing ? Clock::now() : Clock::time_point{};
   core::AdmissionController::SubmitResult sr =
       controller_.submit(std::move(tree), now_, now_ + line.deadline, line.id);
   if (timing) {
-    const auto dt = Clock::now() - t0;
     const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
-    if (options_.measure_latency) {
-      latency_ns_.add(ns);
-      busy_seconds_ += ns * 1e-9;
-    }
-    if (options_.decision_deadline_ns > 0 &&
-        ns > static_cast<double>(options_.decision_deadline_ns)) {
-      // The decision itself blew its latency budget: a wall-clock
-      // overload signal the load-derived pressure cannot see.  Trip the
-      // state machine into shedding; hysteresis governs recovery.
-      // (Not journaled — wall time does not replay.)
-      controller_.trip_shedding();
-    }
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
+            .count());
+    latency_ns_.add(ns);
+    busy_seconds_ += ns * 1e-9;
   }
   if (sr.queued) {
     pending_.insert(line.id);

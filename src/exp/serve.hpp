@@ -82,19 +82,11 @@ struct ServeOptions {
   /// Replay the journal but do not append (read-only recovery check).
   bool journal_replay_only = false;
 
-  /// Decision-latency deadline in nanoseconds (0 = off).  A decision
-  /// that takes longer trips the overload state machine into shedding:
-  /// the service degrades admission quality instead of queueing work it
-  /// can no longer decide on time.  Wall-clock driven, so off by
-  /// default in the deterministic harness.
-  std::uint64_t decision_deadline_ns = 0;
-
   /// Attach a "retry_after" hint (relative stream time) to shed and
   /// backpressure decisions — the client's cue for when resubmission
   /// is worth trying.  Deterministic (derived from pressure), but off
   /// by default to keep PR-5-era byte compatibility.
   bool retry_hints = false;
-  double retry_after_base = 1.0;
 };
 
 /// Socket-transport counters, folded into the drain summary when the
@@ -239,7 +231,7 @@ class ServeSession {
   /// Admitted, not yet done.
   std::set<std::uint64_t> live_ SDA_GUARDED_BY(owner_);
   ServeResult result_ SDA_GUARDED_BY(owner_);
-  // Latency accounting (only when measure_latency / decision deadline).
+  // Latency accounting (only when measure_latency).
   // A 1 ns .. 1 s histogram: constant memory however long the service runs.
   metrics::LogHistogram latency_ns_ SDA_GUARDED_BY(owner_){1.0, 1e9, 8};
   double busy_seconds_ SDA_GUARDED_BY(owner_) = 0.0;

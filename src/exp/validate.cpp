@@ -8,7 +8,7 @@
 
 #include "src/core/admission.hpp"
 #include "src/core/strategy.hpp"
-#include "src/sched/scheduler.hpp"
+#include "src/sched/ready_queue.hpp"
 #include "src/sim/timer_queue.hpp"
 #include "src/workload/exec_dist.hpp"
 #include "src/workload/placement.hpp"
@@ -45,7 +45,12 @@ std::vector<std::string> ExperimentConfig::validate() const {
     }
   }
   try {
-    (void)sched::make_scheduler(c.scheduler_policy);
+    const sched::Policy policy = sched::parse_policy(c.scheduler_policy);
+    // Preemption compares virtual deadlines; under any other queue order
+    // the head served next may be neither the arrival nor the victim.
+    if (c.preemptive && policy != sched::Policy::kEdf) {
+      bad("preemptive=1 needs scheduler_policy=edf (preemptive-resume EDF)");
+    }
   } catch (const std::exception& e) {
     bad(e.what());
   }

@@ -8,10 +8,11 @@ namespace sda::sched {
 
 using task::TaskState;
 
-Node::Node(sim::Engine& engine, std::unique_ptr<Scheduler> scheduler,
-           Config config)
-    : engine_(engine), scheduler_(std::move(scheduler)), config_(config) {
-  if (!scheduler_) throw std::invalid_argument("Node needs a scheduler");
+Node::Node(sim::Engine& engine, Config config)
+    : engine_(engine), config_(config), ready_(config.policy) {
+  if (config_.preemptive && config_.policy != Policy::kEdf) {
+    throw std::invalid_argument("preemptive service requires the EDF policy");
+  }
   if (!(config_.speed > 0.0)) {
     throw std::invalid_argument("Node speed must be positive");
   }
@@ -37,7 +38,7 @@ void Node::submit(TaskPtr t) {
   ++submissions_;
   // +1: the submitted task is about to join the ready queue (or the
   // server), so count it in the depth observed at this instant.
-  const std::size_t depth = scheduler_->size() + 1;
+  const std::size_t depth = ready_.size() + 1;
   if (depth > queue_high_water_) queue_high_water_ = depth;
   if ((submissions_ & 63) == 0) {  // the oracle's deterministic cadence
     ++depth_samples_;
@@ -59,13 +60,13 @@ void Node::submit(TaskPtr t) {
       t->attrs.virtual_deadline < current_->attrs.virtual_deadline) {
     preempt_current();
   }
-  scheduler_->push(std::move(t));
+  ready_.push(std::move(t));
   try_start();
 }
 
 void Node::try_start() {
   if (current_ || !up_) return;
-  TaskPtr next = scheduler_->pop();
+  TaskPtr next = ready_.pop();
   if (!next) return;
   start_service(std::move(next));
 }
@@ -140,7 +141,7 @@ void Node::crash(bool discard_queue) {
     // this (down) node, and that retry belongs to the post-crash queue, not
     // to the set being discarded.
     std::vector<TaskPtr> victims;
-    while (TaskPtr queued = scheduler_->pop()) {
+    while (TaskPtr queued = ready_.pop()) {
       victims.push_back(std::move(queued));
     }
     for (const TaskPtr& queued : victims) fail(queued);
@@ -158,7 +159,7 @@ void Node::preempt_current() {
   preempted->state = TaskState::kQueued;
   ++preemptions_;
   notify(Event::kPreempted, *preempted);
-  scheduler_->push(std::move(preempted));
+  ready_.push(std::move(preempted));
 }
 
 void Node::arm_abort_timer(const TaskPtr& t) {
@@ -193,7 +194,7 @@ void Node::local_abort(const TaskPtr& t) {
   } else if (t->state == TaskState::kQueued) {
     // Remove from the ready queue if it is there (it may not be, in the
     // expired-on-arrival path).
-    scheduler_->remove(*t);
+    ready_.remove(*t);
   }
   retire(*t, TaskState::kAborted, aborted_locally_, Event::kAborted);
   report(t, Outcome::kLocalAbort);
@@ -202,7 +203,7 @@ void Node::local_abort(const TaskPtr& t) {
 
 bool Node::abort(const task::SimpleTask& t) {
   const bool running = current_.get() == &t;
-  const TaskPtr victim = running ? interrupt_service() : scheduler_->remove(t);
+  const TaskPtr victim = running ? interrupt_service() : ready_.remove(t);
   if (!victim) return false;
   retire(*victim, TaskState::kAborted, aborted_externally_, Event::kAborted);
   if (running) try_start();

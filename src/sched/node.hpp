@@ -7,7 +7,7 @@
 //
 // Service is non-preemptive by default (the queue is consulted only when
 // the server frees up); Config::preemptive enables preemptive-resume EDF
-// for the substrate ablation.
+// for the substrate ablation, and so requires Policy::kEdf.
 //
 // Fault injection (src/fault/): a node can crash() and later recover(),
 // and an optional FaultHook lets the injector fail individual service
@@ -31,7 +31,7 @@
 #include <unordered_map>
 
 #include "src/sched/abort_policy.hpp"
-#include "src/sched/scheduler.hpp"
+#include "src/sched/ready_queue.hpp"
 #include "src/sim/engine.hpp"
 #include "src/util/unique_fn.hpp"
 
@@ -41,8 +41,11 @@ class Node {
  public:
   struct Config {
     int index = 0;  ///< node identity (for task placement and reports)
+    Policy policy = Policy::kEdf;  ///< ready-queue order
     LocalAbortPolicy abort_policy = LocalAbortPolicy::kNone;
-    bool preemptive = false;  ///< preemptive-resume service (ablation)
+    /// Preemptive-resume EDF (ablation): an arrival with an earlier
+    /// virtual deadline preempts the task in service.  EDF only.
+    bool preemptive = false;
     /// Relative processing speed: a task with remaining demand r occupies
     /// the server for r/speed time units.  1.0 = the paper's homogeneous
     /// system; the heterogeneous-nodes ablation varies this per node.
@@ -87,14 +90,12 @@ class Node {
   };
   using Observer = util::UniqueFn<void(Event, const task::SimpleTask&)>;
 
-  Node(sim::Engine& engine, std::unique_ptr<Scheduler> scheduler,
-       Config config);
+  Node(sim::Engine& engine, Config config);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
   int index() const noexcept { return config_.index; }
-  const Scheduler& scheduler() const noexcept { return *scheduler_; }
   const Config& config() const noexcept { return config_; }
 
   void set_outcome_handler(OutcomeHandler h) { on_outcome_ = std::move(h); }
@@ -121,7 +122,7 @@ class Node {
     return current_.get();
   }
 
-  std::size_t queue_length() const noexcept { return scheduler_->size(); }
+  std::size_t queue_length() const noexcept { return ready_.size(); }
 
   // --- crash / recovery -------------------------------------------------
   /// True while the node is operational (the initial state).
@@ -219,8 +220,8 @@ class Node {
   void note_population_change(int delta);
 
   sim::Engine& engine_;
-  std::unique_ptr<Scheduler> scheduler_;
   Config config_;
+  ReadyQueue ready_;
 
   TaskPtr current_;                 ///< task in service, if any
   sim::Time service_started_ = 0.0; ///< when the current service leg began

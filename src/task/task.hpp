@@ -2,7 +2,7 @@
 //
 // A SimpleTask is either a *local* task (generated at one node, paper §3.1)
 // or a *simple subtask* of a global task, dispatched by the process manager.
-// Schedulers order SimpleTasks by their virtual deadline; the process
+// Node ready queues order SimpleTasks by their virtual deadline; the process
 // manager correlates subtask completions back to their global run via
 // owner_run.
 #pragma once
@@ -65,14 +65,10 @@ struct SimpleTask {
   /// locally", §7.3).
   bool non_abortable = false;
 
-  /// Scheduler bookkeeping: enqueue sequence number for deterministic
-  /// FIFO tie-breaks among equal virtual deadlines.
-  std::uint64_t enqueue_seq = 0;
-
-  /// Scheduler bookkeeping: current position in the owning ready queue's
-  /// indexed heap (sched::detail::IndexedTaskHeap), enabling O(log n)
-  /// removal without scanning.  kNotQueued while the task is not in any
-  /// ready queue.  Maintained by the schedulers; meaningless elsewhere.
+  /// Scheduler bookkeeping: current position in the owning
+  /// sched::ReadyQueue's heap, enabling O(log n) removal without
+  /// scanning.  kNotQueued while the task is not in any ready queue.
+  /// Maintained by the ready queue; meaningless elsewhere.
   static constexpr std::uint32_t kNotQueued = 0xffffffffu;
   std::uint32_t queue_pos = kNotQueued;
 

@@ -1,5 +1,6 @@
-// Unit tests for the earliest-deadline-first ready queue.
-#include "src/sched/edf.hpp"
+// Unit tests for the ready queue under its default policy,
+// earliest-deadline-first.
+#include "src/sched/ready_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,7 @@
 namespace {
 
 using namespace sda;
-using sched::EdfScheduler;
+using sched::ReadyQueue;
 using task::make_local_task;
 using task::TaskPtr;
 
@@ -18,7 +19,7 @@ TaskPtr with_deadline(std::uint64_t id, double dl) {
 }
 
 TEST(Edf, EmptyBehaviour) {
-  EdfScheduler edf;
+  ReadyQueue edf;
   EXPECT_EQ(edf.size(), 0u);
   EXPECT_TRUE(edf.empty());
   EXPECT_EQ(edf.pop(), nullptr);
@@ -26,7 +27,7 @@ TEST(Edf, EmptyBehaviour) {
 }
 
 TEST(Edf, PopsEarliestDeadlineFirst) {
-  EdfScheduler edf;
+  ReadyQueue edf;
   edf.push(with_deadline(1, 9.0));
   edf.push(with_deadline(2, 3.0));
   edf.push(with_deadline(3, 6.0));
@@ -36,7 +37,7 @@ TEST(Edf, PopsEarliestDeadlineFirst) {
 }
 
 TEST(Edf, OrdersByVirtualNotRealDeadline) {
-  EdfScheduler edf;
+  ReadyQueue edf;
   TaskPtr a = with_deadline(1, 10.0);
   a->attrs.virtual_deadline = 2.0;  // promoted (DIV-x style)
   TaskPtr b = with_deadline(2, 5.0);
@@ -46,13 +47,13 @@ TEST(Edf, OrdersByVirtualNotRealDeadline) {
 }
 
 TEST(Edf, TiesAreFifo) {
-  EdfScheduler edf;
+  ReadyQueue edf;
   for (std::uint64_t id = 1; id <= 5; ++id) edf.push(with_deadline(id, 4.0));
   for (std::uint64_t id = 1; id <= 5; ++id) EXPECT_EQ(edf.pop()->id, id);
 }
 
 TEST(Edf, PeekMatchesPop) {
-  EdfScheduler edf;
+  ReadyQueue edf;
   edf.push(with_deadline(1, 9.0));
   edf.push(with_deadline(2, 3.0));
   EXPECT_EQ(edf.peek()->id, 2u);
@@ -61,7 +62,7 @@ TEST(Edf, PeekMatchesPop) {
 }
 
 TEST(Edf, RemoveSpecificTask) {
-  EdfScheduler edf;
+  ReadyQueue edf;
   TaskPtr a = with_deadline(1, 3.0);
   TaskPtr b = with_deadline(2, 3.0);  // same deadline as a
   TaskPtr c = with_deadline(3, 7.0);
@@ -77,7 +78,7 @@ TEST(Edf, RemoveSpecificTask) {
 }
 
 TEST(Edf, RemoveAbsentTaskReturnsNull) {
-  EdfScheduler edf;
+  ReadyQueue edf;
   TaskPtr queued = with_deadline(1, 3.0);
   TaskPtr other = with_deadline(2, 3.0);
   edf.push(queued);
@@ -90,7 +91,7 @@ TEST(Edf, RemoveAbsentTaskReturnsNull) {
 
 TEST(Edf, NegativeDeadlinesSortFirst) {
   // GF sets virtual deadlines hugely negative; they must win.
-  EdfScheduler edf;
+  ReadyQueue edf;
   TaskPtr gf = with_deadline(1, 5.0);
   gf->attrs.virtual_deadline = 5.0 - 1e9;
   edf.push(with_deadline(2, 0.1));
@@ -98,10 +99,12 @@ TEST(Edf, NegativeDeadlinesSortFirst) {
   EXPECT_EQ(edf.pop()->id, 1u);
 }
 
-TEST(Edf, Name) { EXPECT_EQ(EdfScheduler().name(), "EDF"); }
+TEST(Edf, Name) {
+  EXPECT_STREQ(sched::to_string(sched::Policy::kEdf), "EDF");
+}
 
 TEST(Edf, LargeMixedWorkloadStaysSorted) {
-  EdfScheduler edf;
+  ReadyQueue edf;
   std::uint64_t state = 5;
   for (std::uint64_t id = 1; id <= 2000; ++id) {
     const double dl =

@@ -8,7 +8,7 @@
 #include "src/core/process_manager.hpp"
 #include "src/exp/runner.hpp"
 #include "src/metrics/task_class.hpp"
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/task/notation.hpp"
 
 namespace {
@@ -17,7 +17,7 @@ using namespace sda;
 
 TEST(EdgeCases, ZeroExecutionTimeTaskCompletesInstantly) {
   sim::Engine engine;
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), {});
+  sched::Node node(engine, {});
   auto t = task::make_local_task(1, 0, 0.0, 0.0, 1.0);
   node.submit(t);
   engine.run();
@@ -28,7 +28,7 @@ TEST(EdgeCases, ZeroExecutionTimeTaskCompletesInstantly) {
 
 TEST(EdgeCases, ZeroSlackTaskMeetsExactly) {
   sim::Engine engine;
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), {});
+  sched::Node node(engine, {});
   auto t = task::make_local_task(1, 0, 0.0, 2.0, 2.0);  // dl == ex
   node.submit(t);
   engine.run();
@@ -37,7 +37,7 @@ TEST(EdgeCases, ZeroSlackTaskMeetsExactly) {
 
 TEST(EdgeCases, DeadlineAlreadyExpiredAtSubmission) {
   sim::Engine engine;
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), {});
+  sched::Node node(engine, {});
   bool completed = false;
   node.set_outcome_handler([&](const task::TaskPtr& t,
                                sched::Node::Outcome o) {
@@ -59,8 +59,7 @@ TEST(EdgeCases, GlobalTaskWithZeroDemandSubtasks) {
   for (int i = 0; i < 2; ++i) {
     sched::Node::Config nc;
     nc.index = i;
-    nodes.push_back(std::make_unique<sched::Node>(
-        engine, std::make_unique<sched::EdfScheduler>(), nc));
+    nodes.push_back(std::make_unique<sched::Node>(engine, nc));
     ptrs.push_back(nodes.back().get());
   }
   core::ProcessManager::Config pc;

@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "src/sched/node.hpp"
-#include "src/sched/scheduler.hpp"
 #include "src/sim/engine.hpp"
 #include "src/util/stats.hpp"
 #include "src/workload/local_source.hpp"
@@ -97,7 +96,9 @@ TEST(ExecDist, Describe) {
 double measure_wq(const ExecDistribution& service, double lambda,
                   double horizon, std::uint64_t seed) {
   sim::Engine engine;
-  sched::Node node(engine, sched::make_scheduler("fifo"), {});
+  sched::Node::Config nc;
+  nc.policy = sched::Policy::kFifo;
+  sched::Node node(engine, nc);
   metrics::Collector collector;
   util::RunningStat wait;
   node.set_outcome_handler([&](const task::TaskPtr& t,

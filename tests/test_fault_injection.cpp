@@ -5,10 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "src/sched/edf.hpp"
 #include "src/sched/node.hpp"
 #include "src/sim/engine.hpp"
 
@@ -29,13 +27,9 @@ Node::Config cfg(int index = 0) {
   return c;
 }
 
-std::unique_ptr<sched::Scheduler> edf() {
-  return std::make_unique<sched::EdfScheduler>();
-}
-
 TEST(NodeFaults, HookCanFailAnAttemptPartway) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<TaskPtr> failed;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kFailed) failed.push_back(t);
@@ -62,7 +56,7 @@ TEST(NodeFaults, HookCanFailAnAttemptPartway) {
 // fabric message sees).
 TEST(NodeFaults, NextJobStartsBeforeTheFailureHandlerRuns) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<std::uint64_t> done;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kCompleted) done.push_back(t->id);
@@ -85,7 +79,7 @@ TEST(NodeFaults, NextJobStartsBeforeTheFailureHandlerRuns) {
 
 TEST(NodeFaults, HookExtraDelayStretchesService) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<TaskPtr> done;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kCompleted) done.push_back(t);
@@ -104,7 +98,7 @@ TEST(NodeFaults, HookExtraDelayStretchesService) {
 
 TEST(NodeFaults, FailAfterBeyondDurationCompletesNormally) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<TaskPtr> done;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kCompleted) done.push_back(t);
@@ -123,7 +117,7 @@ TEST(NodeFaults, FailAfterBeyondDurationCompletesNormally) {
 
 TEST(NodeFaults, CrashFailsInServiceTaskAndDiscardsQueue) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<TaskPtr> failed;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kFailed) failed.push_back(t);
@@ -147,7 +141,7 @@ TEST(NodeFaults, CrashFailsInServiceTaskAndDiscardsQueue) {
 
 TEST(NodeFaults, CrashWithoutDiscardFreezesQueueUntilRecovery) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<TaskPtr> failed, done;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kFailed) failed.push_back(t);
@@ -171,7 +165,7 @@ TEST(NodeFaults, CrashWithoutDiscardFreezesQueueUntilRecovery) {
 
 TEST(NodeFaults, SubmitWhileDownQueuesUntilRecovery) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<TaskPtr> done;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kCompleted) done.push_back(t);
@@ -188,7 +182,7 @@ TEST(NodeFaults, SubmitWhileDownQueuesUntilRecovery) {
 
 TEST(NodeFaults, CrashAndRecoverAreIdempotent) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   n.crash(true);
   n.crash(true);  // no-op
   EXPECT_EQ(n.crashes(), 1u);
@@ -199,7 +193,7 @@ TEST(NodeFaults, CrashAndRecoverAreIdempotent) {
 
 TEST(Injector, ExecutesPlannedCrashSchedule) {
   sim::Engine e;
-  Node n0(e, edf(), cfg(0)), n1(e, edf(), cfg(1));
+  Node n0(e, cfg(0)), n1(e, cfg(1));
   std::vector<sched::Node*> nodes{&n0, &n1};
 
   FaultConfig fc;
@@ -225,7 +219,7 @@ TEST(Injector, ExecutesPlannedCrashSchedule) {
 
 TEST(Injector, TransientFailuresHitOnlySubtasksOnComputeNodes) {
   sim::Engine e;
-  Node n0(e, edf(), cfg(0)), link(e, edf(), cfg(1));
+  Node n0(e, cfg(0)), link(e, cfg(1));
   std::vector<sched::Node*> nodes{&n0, &link};
 
   FaultConfig fc;
@@ -257,7 +251,7 @@ TEST(Injector, TransientFailuresHitOnlySubtasksOnComputeNodes) {
 
 TEST(Injector, MessageLossFailsLinkTransmissions) {
   sim::Engine e;
-  Node n0(e, edf(), cfg(0)), link(e, edf(), cfg(1));
+  Node n0(e, cfg(0)), link(e, cfg(1));
   std::vector<sched::Node*> nodes{&n0, &link};
 
   FaultConfig fc;
@@ -280,7 +274,7 @@ TEST(Injector, MessageLossFailsLinkTransmissions) {
 
 TEST(Injector, RejectsDoubleArmAndBadArguments) {
   sim::Engine e;
-  Node n0(e, edf(), cfg(0));
+  Node n0(e, cfg(0));
   std::vector<sched::Node*> nodes{&n0};
   const FaultPlan plan =
       FaultPlan::generate(FaultConfig{}, 1, 100.0, util::Rng(1));

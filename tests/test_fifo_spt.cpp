@@ -1,11 +1,10 @@
-// Unit tests for the FIFO and SPT ablation schedulers and the factory.
+// Unit tests for the ready queue under the FIFO and SPT ablation
+// policies, and for policy-name parsing.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "src/sched/fifo.hpp"
-#include "src/sched/scheduler.hpp"
-#include "src/sched/spt.hpp"
+#include "src/sched/ready_queue.hpp"
 #include "src/task/task.hpp"
 
 namespace {
@@ -15,7 +14,7 @@ using task::make_local_task;
 using task::TaskPtr;
 
 TEST(Fifo, ArrivalOrder) {
-  sched::FifoScheduler q;
+  sched::ReadyQueue q(sched::Policy::kFifo);
   q.push(make_local_task(1, 0, 0.0, 1.0, 100.0));
   q.push(make_local_task(2, 0, 0.0, 1.0, 1.0));  // earlier deadline, later pop
   q.push(make_local_task(3, 0, 0.0, 1.0, 50.0));
@@ -26,7 +25,7 @@ TEST(Fifo, ArrivalOrder) {
 }
 
 TEST(Fifo, PeekAndRemove) {
-  sched::FifoScheduler q;
+  sched::ReadyQueue q(sched::Policy::kFifo);
   TaskPtr a = make_local_task(1, 0, 0.0, 1.0, 1.0);
   TaskPtr b = make_local_task(2, 0, 0.0, 1.0, 2.0);
   q.push(a);
@@ -39,7 +38,7 @@ TEST(Fifo, PeekAndRemove) {
 }
 
 TEST(Spt, ShortestPredictedFirst) {
-  sched::SptScheduler q;
+  sched::ReadyQueue q(sched::Policy::kSpt);
   TaskPtr slow = make_local_task(1, 0, 0.0, 5.0, 100.0);
   TaskPtr fast = make_local_task(2, 0, 0.0, 0.5, 100.0);
   TaskPtr mid = make_local_task(3, 0, 0.0, 2.0, 100.0);
@@ -52,7 +51,7 @@ TEST(Spt, ShortestPredictedFirst) {
 }
 
 TEST(Spt, TiesFifoAndRemove) {
-  sched::SptScheduler q;
+  sched::ReadyQueue q(sched::Policy::kSpt);
   TaskPtr a = make_local_task(1, 0, 0.0, 1.0, 10.0);
   TaskPtr b = make_local_task(2, 0, 0.0, 1.0, 20.0);
   q.push(a);
@@ -63,15 +62,17 @@ TEST(Spt, TiesFifoAndRemove) {
 }
 
 TEST(Factory, KnownPolicies) {
-  EXPECT_EQ(sched::make_scheduler("edf")->name(), "EDF");
-  EXPECT_EQ(sched::make_scheduler("EDF")->name(), "EDF");
-  EXPECT_EQ(sched::make_scheduler("fifo")->name(), "FIFO");
-  EXPECT_EQ(sched::make_scheduler("spt")->name(), "SPT");
+  EXPECT_EQ(sched::parse_policy("edf"), sched::Policy::kEdf);
+  EXPECT_EQ(sched::parse_policy("EDF"), sched::Policy::kEdf);
+  EXPECT_EQ(sched::parse_policy("fifo"), sched::Policy::kFifo);
+  EXPECT_EQ(sched::parse_policy("spt"), sched::Policy::kSpt);
+  EXPECT_STREQ(sched::to_string(sched::Policy::kFifo), "FIFO");
+  EXPECT_STREQ(sched::to_string(sched::Policy::kSpt), "SPT");
 }
 
 TEST(Factory, UnknownPolicyThrows) {
-  EXPECT_THROW(sched::make_scheduler("lifo"), std::invalid_argument);
-  EXPECT_THROW(sched::make_scheduler(""), std::invalid_argument);
+  EXPECT_THROW(sched::parse_policy("lifo"), std::invalid_argument);
+  EXPECT_THROW(sched::parse_policy(""), std::invalid_argument);
 }
 
 }  // namespace

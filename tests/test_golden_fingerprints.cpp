@@ -5,7 +5,8 @@
 // Together the configurations cover the Table-1 baseline, the §8 graph
 // system, link nodes with message faults, local aborts under DIV-x/EQS and
 // under preemption, GF with process-manager and local aborts, crashes with
-// and without queue discard, and the admission gate under overload.
+// and without queue discard, the admission gate under overload, and the
+// FIFO, SPT and LLF ready-queue orders at a load where queues form.
 //
 // A change that moves any of these values changes simulated behaviour.
 // Such a change must say so in CHANGES.md, name each moved config with its
@@ -58,6 +59,12 @@ const Golden kGolden[] = {
      0xad068f9af3ef4f1full, 0x1f26f08640634076ull},
     {"admission_overload", "admission=1 load=2.5", 0xced078eb46429100ull,
      0x49e043f6c2dab79aull},
+    {"fifo_load_0.9", "scheduler_policy=fifo load=0.9", 0x5307bed096e9a3e1ull,
+     0x89892aeb3f0f6387ull},
+    {"spt_load_0.9", "scheduler_policy=spt load=0.9", 0xc35df203b72fc613ull,
+     0xf35a721e1ffc3f08ull},
+    {"llf_load_0.9", "scheduler_policy=llf load=0.9", 0x04632490d1a15285ull,
+     0xa98994d6f6393f9cull},
 };
 
 exp::ExperimentConfig config_of(const Golden& g) {

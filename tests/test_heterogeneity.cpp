@@ -3,11 +3,9 @@
 // both the Node API and the assembled runner.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "src/exp/runner.hpp"
 #include "src/metrics/task_class.hpp"
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/sim/engine.hpp"
 
 namespace {
@@ -18,7 +16,7 @@ TEST(NodeSpeed, ServiceTimeScales) {
   sim::Engine engine;
   sched::Node::Config nc;
   nc.speed = 2.0;  // twice as fast
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), nc);
+  sched::Node node(engine, nc);
   auto t = task::make_local_task(1, 0, 0.0, 3.0, 10.0);
   node.submit(t);
   engine.run();
@@ -30,7 +28,7 @@ TEST(NodeSpeed, SlowNode) {
   sim::Engine engine;
   sched::Node::Config nc;
   nc.speed = 0.5;
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), nc);
+  sched::Node node(engine, nc);
   auto t = task::make_local_task(1, 0, 0.0, 3.0, 10.0);
   node.submit(t);
   engine.run();
@@ -42,7 +40,7 @@ TEST(NodeSpeed, PreemptionAccountsInDemandUnits) {
   sched::Node::Config nc;
   nc.speed = 2.0;
   nc.preemptive = true;
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), nc);
+  sched::Node node(engine, nc);
   auto big = task::make_local_task(1, 0, 0.0, 8.0, 100.0);  // 4 wall units
   node.submit(big);
   engine.at(1.0, [&] {
@@ -59,7 +57,7 @@ TEST(NodeSpeed, RejectsNonPositive) {
   sched::Node::Config nc;
   nc.speed = 0.0;
   EXPECT_THROW(
-      sched::Node(engine, std::make_unique<sched::EdfScheduler>(), nc),
+      sched::Node(engine, nc),
       std::invalid_argument);
 }
 

@@ -17,8 +17,8 @@
 
 #include "src/core/process_manager.hpp"
 #include "src/core/strategy.hpp"
-#include "src/sched/edf.hpp"
-#include "src/sched/indexed_heap.hpp"
+#include "src/sched/node.hpp"
+#include "src/sched/ready_queue.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/task/notation.hpp"
@@ -55,8 +55,7 @@ struct Sim {
     for (int i = 0; i < node_count; ++i) {
       sched::Node::Config nc;
       nc.index = i;
-      nodes.push_back(std::make_unique<sched::Node>(
-          *engine, std::make_unique<sched::EdfScheduler>(), nc));
+      nodes.push_back(std::make_unique<sched::Node>(*engine, nc));
       node_ptrs.push_back(nodes.back().get());
     }
     ProcessManager::Config pc;
@@ -186,22 +185,13 @@ TEST(InvariantOracleDeath, EvilStrategyRunsFineWithOracleOff) {
 
 // --- corrupted heap state trips the oracle ---------------------------------
 
-struct ByDeadline {
-  bool operator()(const TaskPtr& a, const TaskPtr& b) const noexcept {
-    if (a->attrs.virtual_deadline != b->attrs.virtual_deadline) {
-      return a->attrs.virtual_deadline < b->attrs.virtual_deadline;
-    }
-    return a->enqueue_seq < b->enqueue_seq;
-  }
-};
-
 TaskPtr with_deadline(std::uint64_t id, double dl) {
   return task::make_local_task(id, 0, 0.0, 1.0, dl);
 }
 
 TEST(InvariantOracleDeath, HeapQueuePosCorruptionAborts) {
   OracleGuard guard(true);
-  sched::detail::IndexedTaskHeap<ByDeadline> heap;
+  sched::ReadyQueue heap;
   TaskPtr a = with_deadline(1, 3.0);
   TaskPtr b = with_deadline(2, 5.0);
   heap.push(a);
@@ -213,15 +203,16 @@ TEST(InvariantOracleDeath, HeapQueuePosCorruptionAborts) {
 
 TEST(InvariantOracleDeath, HeapOrderCorruptionAborts) {
   OracleGuard guard(true);
-  sched::detail::IndexedTaskHeap<ByDeadline> heap;
+  sched::ReadyQueue heap;
   TaskPtr a = with_deadline(1, 3.0);
   TaskPtr b = with_deadline(2, 5.0);
   heap.push(a);
   heap.push(b);
   // Rewrite the root's key after insertion — exactly the corruption a
-  // buggy in-place deadline update would cause.
+  // buggy in-place deadline update would cause.  The queue orders on the
+  // key it stored at push, so the oracle reports the stale key.
   a->attrs.virtual_deadline = 9.0;
-  EXPECT_DEATH(heap.validate(), "task-heap-order");
+  EXPECT_DEATH(heap.validate(), "task-heap-stale-key");
 }
 
 // --- event queue / engine time sanity --------------------------------------
@@ -262,7 +253,7 @@ TEST(InvariantOracle, EventQueueChurnStaysClean) {
 TEST(InvariantOracle, DirectValidateCallsAreCheapAndClean) {
   // validate() is also a public API (cadence aside): clean structures pass.
   OracleGuard guard(true);
-  sched::detail::IndexedTaskHeap<ByDeadline> heap;
+  sched::ReadyQueue heap;
   for (int i = 0; i < 100; ++i) {
     heap.push(with_deadline(static_cast<std::uint64_t>(i + 1),
                             static_cast<double>((i * 31) % 17)));

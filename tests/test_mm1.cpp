@@ -14,7 +14,6 @@
 
 #include "src/metrics/collector.hpp"
 #include "src/sched/node.hpp"
-#include "src/sched/scheduler.hpp"
 #include "src/sim/engine.hpp"
 #include "src/util/stats.hpp"
 #include "src/workload/local_source.hpp"
@@ -36,7 +35,8 @@ Mm1Result run_mm1(const std::string& policy, double lambda, double mu,
   sim::Engine engine;
   sched::Node::Config nc;
   nc.index = 0;
-  sched::Node node(engine, sched::make_scheduler(policy), nc);
+  nc.policy = sched::parse_policy(policy);
+  sched::Node node(engine, nc);
   metrics::Collector collector;
 
   util::RunningStat sojourn;

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/sched/edf.hpp"
 #include "src/sim/engine.hpp"
 
 namespace {
@@ -30,18 +29,20 @@ Node::Config cfg(int index = 0,
   return c;
 }
 
-std::unique_ptr<sched::Scheduler> edf() {
-  return std::make_unique<sched::EdfScheduler>();
-}
-
-TEST(Node, RequiresScheduler) {
+TEST(Node, PreemptionRequiresEdf) {
+  // Preemption compares virtual deadlines, which only EDF serves by.
   sim::Engine e;
-  EXPECT_THROW(Node(e, nullptr, cfg()), std::invalid_argument);
+  for (sched::Policy p :
+       {sched::Policy::kFifo, sched::Policy::kSpt, sched::Policy::kLlf}) {
+    Node::Config c = cfg(0, LocalAbortPolicy::kNone, /*preemptive=*/true);
+    c.policy = p;
+    EXPECT_THROW(Node(e, c), std::invalid_argument) << sched::to_string(p);
+  }
 }
 
 TEST(Node, RejectsWrongNodeAndNull) {
   sim::Engine e;
-  Node n(e, edf(), cfg(3));
+  Node n(e, cfg(3));
   EXPECT_THROW(n.submit(nullptr), std::invalid_argument);
   EXPECT_THROW(n.submit(make_local_task(1, 0, 0.0, 1.0, 5.0)),
                std::logic_error);
@@ -49,7 +50,7 @@ TEST(Node, RejectsWrongNodeAndNull) {
 
 TEST(Node, SingleTaskServiceTiming) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<TaskPtr> done;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kCompleted) done.push_back(t);
@@ -70,7 +71,7 @@ TEST(Node, SingleTaskServiceTiming) {
 
 TEST(Node, QueuedTasksServedInEdfOrder) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<std::uint64_t> order;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kCompleted) order.push_back(t->id);
@@ -87,7 +88,7 @@ TEST(Node, QueuedTasksServedInEdfOrder) {
 
 TEST(Node, NonPreemptiveByDefault) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<std::uint64_t> order;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kCompleted) order.push_back(t->id);
@@ -103,7 +104,7 @@ TEST(Node, NonPreemptiveByDefault) {
 
 TEST(Node, PreemptiveResume) {
   sim::Engine e;
-  Node n(e, edf(), cfg(0, LocalAbortPolicy::kNone, /*preemptive=*/true));
+  Node n(e, cfg(0, LocalAbortPolicy::kNone, /*preemptive=*/true));
   std::vector<std::pair<std::uint64_t, double>> done;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kCompleted) done.push_back({t->id, t->finished_at});
@@ -125,7 +126,7 @@ TEST(Node, PreemptiveResume) {
 
 TEST(Node, PreemptionOnlyForEarlierDeadline) {
   sim::Engine e;
-  Node n(e, edf(), cfg(0, LocalAbortPolicy::kNone, true));
+  Node n(e, cfg(0, LocalAbortPolicy::kNone, true));
   n.submit(make_local_task(1, 0, 0.0, 5.0, 10.0));
   e.at(1.0, [&] { n.submit(make_local_task(2, 0, 1.0, 1.0, 50.0)); });
   e.run();
@@ -134,7 +135,7 @@ TEST(Node, PreemptionOnlyForEarlierDeadline) {
 
 TEST(Node, ExternalAbortQueuedTask) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   TaskPtr running = make_local_task(1, 0, 0.0, 5.0, 100.0);
   TaskPtr queued = make_local_task(2, 0, 0.0, 1.0, 100.0);
   n.submit(running);
@@ -149,7 +150,7 @@ TEST(Node, ExternalAbortQueuedTask) {
 
 TEST(Node, ExternalAbortRunningTaskFreesServer) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<std::uint64_t> done;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kCompleted) done.push_back(t->id);
@@ -171,7 +172,7 @@ TEST(Node, ExternalAbortRunningTaskFreesServer) {
 
 TEST(Node, AbortUnknownTaskFails) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   TaskPtr stranger = make_local_task(9, 0, 0.0, 1.0, 5.0);
   EXPECT_FALSE(n.abort(*stranger));
   TaskPtr done_task = make_local_task(1, 0, 0.0, 1.0, 5.0);
@@ -182,7 +183,7 @@ TEST(Node, AbortUnknownTaskFails) {
 
 TEST(Node, LocalAbortExpiredOnArrival) {
   sim::Engine e;
-  Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
+  Node n(e, cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   std::vector<TaskPtr> aborted;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kLocalAbort) aborted.push_back(t);
@@ -202,7 +203,7 @@ TEST(Node, LocalAbortExpiredOnArrival) {
 
 TEST(Node, LocalAbortMidService) {
   sim::Engine e;
-  Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
+  Node n(e, cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   std::vector<TaskPtr> aborted;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kLocalAbort) aborted.push_back(t);
@@ -219,7 +220,7 @@ TEST(Node, LocalAbortMidService) {
 
 TEST(Node, LocalAbortQueuedTaskAtItsDeadline) {
   sim::Engine e;
-  Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
+  Node n(e, cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   std::vector<std::uint64_t> aborted;
   std::vector<std::uint64_t> completed;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
@@ -236,7 +237,7 @@ TEST(Node, LocalAbortQueuedTaskAtItsDeadline) {
 
 TEST(Node, NonAbortableTaskSurvivesPolicy) {
   sim::Engine e;
-  Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
+  Node n(e, cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   std::vector<std::uint64_t> completed;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kCompleted) completed.push_back(t->id);
@@ -253,7 +254,7 @@ TEST(Node, NonAbortableTaskSurvivesPolicy) {
 
 TEST(Node, CompletionCancelsAbortTimer) {
   sim::Engine e;
-  Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
+  Node n(e, cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   int aborts = 0;
   n.set_outcome_handler([&](const TaskPtr&, Node::Outcome o) {
     if (o == Node::Outcome::kLocalAbort) ++aborts;
@@ -270,7 +271,7 @@ TEST(Node, PreemptionPlusLocalAbortInteraction) {
   // preempted and then expires in the queue must be aborted exactly once,
   // with its partial service recorded as wasted work.
   sim::Engine e;
-  Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline, true));
+  Node n(e, cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline, true));
   std::vector<std::uint64_t> aborted, completed;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kLocalAbort) aborted.push_back(t->id);
@@ -296,7 +297,7 @@ TEST(Node, SpeedAndLocalAbortAccounting) {
   sim::Engine e;
   Node::Config c = cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline);
   c.speed = 2.0;
-  Node n(e, edf(), c);
+  Node n(e, c);
   TaskPtr victim;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     if (o == Node::Outcome::kLocalAbort) victim = t;
@@ -311,7 +312,7 @@ TEST(Node, SpeedAndLocalAbortAccounting) {
 
 TEST(Node, ObserverAndHandlersBothFire) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   int observed = 0, handled = 0;
   n.set_observer([&](Node::Event, const task::SimpleTask&) { ++observed; });
   n.set_outcome_handler([&](const TaskPtr&, Node::Outcome o) {
@@ -328,7 +329,7 @@ TEST(Node, ObserverAndHandlersBothFire) {
 // counterpart of NodeFaults.NextJobStartsBeforeTheFailureHandlerRuns).
 TEST(NodeOutcome, CompletionIsReportedBeforeTheNextPick) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<std::uint64_t> done;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     ASSERT_EQ(o, Node::Outcome::kCompleted);
@@ -348,7 +349,7 @@ TEST(NodeOutcome, CompletionIsReportedBeforeTheNextPick) {
 
 TEST(NodeOutcome, LocalAbortIsReportedBeforeTheNextPick) {
   sim::Engine e;
-  Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
+  Node n(e, cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   std::vector<std::pair<std::uint64_t, Node::Outcome>> log;
   n.set_outcome_handler([&](const TaskPtr& t, Node::Outcome o) {
     log.emplace_back(t->id, o);
@@ -373,7 +374,7 @@ TEST(NodeOutcome, LocalAbortIsReportedBeforeTheNextPick) {
 
 TEST(NodeOutcome, ExternalAbortReportsNoOutcome) {
   sim::Engine e;
-  Node n(e, edf(), cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
+  Node n(e, cfg(0, LocalAbortPolicy::kAbortOnVirtualDeadline));
   std::vector<std::pair<std::uint64_t, Node::Outcome>> log;
   n.set_outcome_handler(
       [&](const TaskPtr& t, Node::Outcome o) { log.emplace_back(t->id, o); });
@@ -395,7 +396,7 @@ TEST(NodeOutcome, ExternalAbortReportsNoOutcome) {
 
 TEST(NodeOutcome, DiscardingCrashReportsEachVictimFailedOnce) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   std::vector<std::pair<std::uint64_t, Node::Outcome>> log;
   n.set_outcome_handler(
       [&](const TaskPtr& t, Node::Outcome o) { log.emplace_back(t->id, o); });
@@ -413,7 +414,7 @@ TEST(NodeOutcome, DiscardingCrashReportsEachVictimFailedOnce) {
 
 TEST(Node, UtilizationAndLittleLaw) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   // Two unit tasks back to back starting at 0: busy 2 of 4 time units.
   n.submit(make_local_task(1, 0, 0.0, 1.0, 10.0));
   n.submit(make_local_task(2, 0, 0.0, 1.0, 10.0));
@@ -426,7 +427,7 @@ TEST(Node, UtilizationAndLittleLaw) {
 
 TEST(Node, QueueLengthReflectsWaiters) {
   sim::Engine e;
-  Node n(e, edf(), cfg());
+  Node n(e, cfg());
   n.submit(make_local_task(1, 0, 0.0, 5.0, 10.0));
   n.submit(make_local_task(2, 0, 0.0, 1.0, 10.0));
   n.submit(make_local_task(3, 0, 0.0, 1.0, 10.0));

@@ -10,7 +10,7 @@
 #include "src/core/sda.hpp"
 #include "src/exp/runner.hpp"
 #include "src/metrics/task_class.hpp"
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/task/notation.hpp"
 
 namespace {
@@ -29,8 +29,7 @@ class OnlineSda : public ::testing::Test {
     for (int i = 0; i < k; ++i) {
       sched::Node::Config nc;
       nc.index = i;
-      nodes.push_back(std::make_unique<sched::Node>(
-          *engine, std::make_unique<sched::EdfScheduler>(), nc));
+      nodes.push_back(std::make_unique<sched::Node>(*engine, nc));
       node_ptrs.push_back(nodes.back().get());
     }
     ProcessManager::Config pc;

@@ -6,7 +6,7 @@
 #include <memory>
 #include <set>
 
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/sim/engine.hpp"
 
 namespace {
@@ -45,8 +45,7 @@ class LeastQueuedTest : public ::testing::Test {
     for (int i = 0; i < 4; ++i) {
       sched::Node::Config nc;
       nc.index = i;
-      nodes.push_back(std::make_unique<sched::Node>(
-          engine, std::make_unique<sched::EdfScheduler>(), nc));
+      nodes.push_back(std::make_unique<sched::Node>(engine, nc));
       views.push_back(nodes.back().get());
     }
   }

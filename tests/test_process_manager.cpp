@@ -7,7 +7,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/task/notation.hpp"
 
 namespace {
@@ -34,8 +34,7 @@ class PmTest : public ::testing::Test {
       sched::Node::Config nc;
       nc.index = i;
       nc.abort_policy = local_policy;
-      nodes.push_back(std::make_unique<sched::Node>(
-          *engine, std::make_unique<sched::EdfScheduler>(), nc));
+      nodes.push_back(std::make_unique<sched::Node>(*engine, nc));
       node_ptrs.push_back(nodes.back().get());
     }
     ProcessManager::Config pc;

@@ -1,5 +1,5 @@
 // Randomized stress tests: the pooled, generation-tagged EventQueue and the
-// indexed scheduler heaps are checked operation-by-operation against naive
+// indexed ready queue are checked operation-by-operation against naive
 // reference models (linear scans over flat vectors).  Any divergence in pop
 // order, FIFO tie-breaking, pending()/size() accounting, or cancel/remove
 // return values fails loudly with the seed printed via SCOPED_TRACE.
@@ -11,8 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/sched/edf.hpp"
-#include "src/sched/fifo.hpp"
+#include "src/sched/ready_queue.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/task/task.hpp"
 #include "src/util/rng.hpp"
@@ -172,7 +171,7 @@ TEST(EventQueueStress, CancelReleasesCaptureEagerly) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-// --- Indexed scheduler heaps vs. a stable-sort reference ------------------
+// --- Indexed ready queue vs. a stable-sort reference ----------------------
 
 task::TaskPtr stress_task(std::uint64_t id, double deadline) {
   return task::make_local_task(id, 0, 0.0, 1.0, deadline);
@@ -182,7 +181,7 @@ TEST(IndexedHeapStress, EdfMatchesStableSortedReference) {
   util::Rng rng(99);
   for (int round = 0; round < 10; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    sched::EdfScheduler edf;
+    sched::ReadyQueue edf(sched::Policy::kEdf);
     // Reference: vector kept in push order; pop = stable-min by (deadline,
     // enqueue order); remove = erase by identity.
     std::vector<task::TaskPtr> ref;
@@ -205,7 +204,7 @@ TEST(IndexedHeapStress, EdfMatchesStableSortedReference) {
     for (int step = 0; step < 2000; ++step) {
       const double dice = rng.uniform01();
       if (dice < 0.5 || ref.empty()) {
-        // Coarse deadlines force ties, exercising enqueue_seq ordering.
+        // Coarse deadlines force ties, exercising push-order tie-breaks.
         auto t = stress_task(next_id++, rng.uniform_int(0, 9));
         ref.push_back(t);
         all.push_back(t);
@@ -241,11 +240,11 @@ TEST(IndexedHeapStress, EdfMatchesStableSortedReference) {
 }
 
 TEST(IndexedHeapStress, RemoveRejectsTaskQueuedElsewhere) {
-  // queue_pos is intrusive, so a scheduler must verify identity before
-  // trusting it: a task sitting in *another* scheduler's heap carries a
+  // queue_pos is intrusive, so a queue must verify identity before
+  // trusting it: a task sitting in *another* queue's heap carries a
   // plausible-looking position.
-  sched::EdfScheduler a;
-  sched::EdfScheduler b;
+  sched::ReadyQueue a;
+  sched::ReadyQueue b;
   auto t = stress_task(1, 5.0);
   a.push(t);
   EXPECT_EQ(b.remove(*t), nullptr);
@@ -258,7 +257,7 @@ TEST(IndexedHeapStress, RemoveRejectsTaskQueuedElsewhere) {
 }
 
 TEST(IndexedHeapStress, FifoPreservesArrivalOrderWithRemovals) {
-  sched::FifoScheduler fifo;
+  sched::ReadyQueue fifo(sched::Policy::kFifo);
   util::Rng rng(11);
   std::vector<task::TaskPtr> order;
   for (std::uint64_t i = 1; i <= 300; ++i) {

@@ -6,7 +6,7 @@
 #include <memory>
 #include <set>
 
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/task/notation.hpp"
 
 namespace {
@@ -19,8 +19,7 @@ class RandomGraphTest : public ::testing::Test {
     for (int i = 0; i < 6; ++i) {
       sched::Node::Config nc;
       nc.index = i;
-      nodes.push_back(std::make_unique<sched::Node>(
-          engine, std::make_unique<sched::EdfScheduler>(), nc));
+      nodes.push_back(std::make_unique<sched::Node>(engine, nc));
       ptrs.push_back(nodes.back().get());
     }
     core::ProcessManager::Config pc;

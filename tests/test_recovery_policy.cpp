@@ -11,7 +11,7 @@
 #include "src/core/strategy.hpp"
 #include "src/exp/runner.hpp"
 #include "src/metrics/trace.hpp"
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/task/notation.hpp"
 
 namespace {
@@ -38,8 +38,7 @@ class RecoveryTest : public ::testing::Test {
     for (int i = 0; i < k; ++i) {
       sched::Node::Config nc;
       nc.index = i;
-      nodes.push_back(std::make_unique<sched::Node>(
-          *engine, std::make_unique<sched::EdfScheduler>(), nc));
+      nodes.push_back(std::make_unique<sched::Node>(*engine, nc));
       node_ptrs.push_back(nodes.back().get());
     }
     ProcessManager::Config pc;

@@ -9,7 +9,7 @@
 
 #include "src/core/process_manager.hpp"
 #include "src/metrics/collector.hpp"
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/util/stats.hpp"
 #include "src/workload/global_source.hpp"
 #include "src/workload/local_source.hpp"
@@ -21,7 +21,7 @@ using namespace sda;
 
 TEST(LocalSource, RateAndAttributes) {
   sim::Engine engine;
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), {});
+  sched::Node node(engine, {});
   metrics::Collector collector;
 
   std::vector<task::TaskPtr> seen;
@@ -51,7 +51,7 @@ TEST(LocalSource, RateAndAttributes) {
 
 TEST(LocalSource, ZeroRateGeneratesNothing) {
   sim::Engine engine;
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), {});
+  sched::Node node(engine, {});
   metrics::Collector collector;
   workload::LocalSource::Config lc;
   lc.lambda = 0.0;
@@ -64,7 +64,7 @@ TEST(LocalSource, ZeroRateGeneratesNothing) {
 
 TEST(LocalSource, Validation) {
   sim::Engine engine;
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), {});
+  sched::Node node(engine, {});
   metrics::Collector collector;
   workload::LocalSource::Config bad;
   bad.lambda = -1.0;
@@ -86,7 +86,7 @@ TEST(LocalSource, Validation) {
 
 TEST(LocalSource, PmAbortTimersKillTardyLocals) {
   sim::Engine engine;
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), {});
+  sched::Node node(engine, {});
   metrics::Collector collector;
   workload::LocalSource::Config lc;
   lc.lambda = 0.9;  // heavy single-node overload -> many tardy tasks
@@ -107,8 +107,7 @@ class GlobalSourceTest : public ::testing::Test {
     for (int i = 0; i < 6; ++i) {
       sched::Node::Config nc;
       nc.index = i;
-      nodes.push_back(std::make_unique<sched::Node>(
-          engine, std::make_unique<sched::EdfScheduler>(), nc));
+      nodes.push_back(std::make_unique<sched::Node>(engine, nc));
       node_ptrs.push_back(nodes.back().get());
     }
     core::ProcessManager::Config pc;

@@ -3,10 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "src/exp/runner.hpp"
-#include "src/sched/edf.hpp"
+#include "src/sched/node.hpp"
 #include "src/sim/engine.hpp"
 
 namespace {
@@ -76,7 +74,7 @@ TEST(Tracer, EventNames) {
 
 TEST(NodeObserver, LifecycleSequence) {
   sim::Engine engine;
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), {});
+  sched::Node node(engine, {});
   std::vector<sched::Node::Event> events;
   node.set_observer([&](sched::Node::Event e, const task::SimpleTask&) {
     events.push_back(e);
@@ -91,7 +89,7 @@ TEST(NodeObserver, LifecycleSequence) {
 
 TEST(NodeObserver, AbortEventOnExternalAbort) {
   sim::Engine engine;
-  sched::Node node(engine, std::make_unique<sched::EdfScheduler>(), {});
+  sched::Node node(engine, {});
   std::vector<sched::Node::Event> events;
   node.set_observer([&](sched::Node::Event e, const task::SimpleTask&) {
     events.push_back(e);

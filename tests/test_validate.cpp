@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace {
 
 using namespace sda::exp;
@@ -29,6 +32,24 @@ TEST(Validate, CatchesSystemProblems) {
   c = baseline_config();
   c.scheduler_policy = "random";
   EXPECT_FALSE(c.validate().empty());
+}
+
+TEST(Validate, PreemptionIsEdfOnly) {
+  // Preemption compares virtual deadlines, so it is defined only when the
+  // queue serves by them too.
+  ExperimentConfig c = baseline_config();
+  c.preemptive = true;
+  EXPECT_TRUE(c.validate().empty());
+  c.scheduler_policy = "EDF";
+  EXPECT_TRUE(c.validate().empty());
+  for (const char* policy : {"fifo", "spt", "llf", "LLF"}) {
+    c.scheduler_policy = policy;
+    const std::vector<std::string> problems = c.validate();
+    ASSERT_EQ(problems.size(), 1u) << policy;
+    EXPECT_NE(problems[0].find("preemptive"), std::string::npos) << policy;
+  }
+  c.preemptive = false;
+  EXPECT_TRUE(c.validate().empty());
 }
 
 TEST(Validate, CatchesStrategyProblems) {

@@ -87,8 +87,6 @@ int usage(const char* argv0, int code) {
       "                     replies wait for the fsync of their record)\n"
       "  --recover-check <path>     replay a journal read-only and print\n"
       "                     the reconstructed state (sda.recover.v1)\n"
-      "  --decision-deadline-us <n> serve mode: decisions slower than this\n"
-      "                     trip the overload machine into shedding\n"
       "  --retry-hints      serve mode: attach retry_after to shed and\n"
       "                     backpressure decisions\n"
       "  --timing           serve mode: measure per-decision latency and\n"
@@ -269,7 +267,6 @@ int main(int argc, char** argv) {
   std::string journal_path;
   std::string recover_path;
   std::size_t journal_flush_every = exp::ServeOptions{}.journal_flush_every;
-  std::uint64_t decision_deadline_us = 0;
   bool retry_hints = false;
   bool list_keys = false;
   bool list_strategies = false;
@@ -308,9 +305,6 @@ int main(int argc, char** argv) {
       if (journal_flush_every == 0) journal_flush_every = 1;
     } else if (arg == "--recover-check") {
       recover_path = flag_value("--recover-check");
-    } else if (arg == "--decision-deadline-us") {
-      decision_deadline_us = std::strtoull(
-          flag_value("--decision-deadline-us"), nullptr, 10);
     } else if (arg == "--retry-hints") {
       retry_hints = true;
     } else if (arg == "--timing") {
@@ -374,7 +368,6 @@ int main(int argc, char** argv) {
     opts.measure_latency = timing;
     opts.journal_path = journal_path;
     opts.journal_flush_every = journal_flush_every;
-    opts.decision_deadline_ns = decision_deadline_us * 1000;
     opts.retry_hints = retry_hints;
     if (!recover_path.empty()) return recover_check(recover_path, opts);
     if (!listen_arg.empty()) return serve_listen(listen_arg, opts);
