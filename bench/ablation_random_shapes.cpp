@@ -14,8 +14,8 @@
 #include "bench/common.hpp"
 
 #include "src/sched/node.hpp"
+#include "src/workload/global_source.hpp"
 #include "src/workload/local_source.hpp"
-#include "src/workload/random_graph.hpp"
 #include "src/workload/rates.hpp"
 
 namespace {
@@ -61,16 +61,15 @@ Outcome run(const char* psp, const char* ssp, double load,
         });
   }
 
-  // The random source calibrates its own mean work; feed that into the
-  // load equations so the offered load is exactly `load`.
-  workload::RandomGraphSource::Config gc;
-  gc.lambda = 0.0;  // placeholder; set after calibration
-  workload::RandomGraphSource prototype(engine, pm, master.split(), gc);
+  // Calibrate the random shape's mean work on a stream of its own and
+  // feed it into the load equations so the offered load is exactly `load`.
+  const workload::RandomShape shape{};
+  util::Rng calibration = master.split().split();
   workload::RateParams rp;
   rp.k = kNodes;
   rp.load = load;
   rp.frac_local = 0.75;
-  rp.expected_global_work = prototype.calibrated_mean_work();
+  rp.expected_global_work = workload::mean_total_ex(shape, calibration);
   const workload::Rates rates = workload::solve_rates(rp);
 
   std::vector<std::unique_ptr<workload::LocalSource>> locals;
@@ -83,8 +82,11 @@ Outcome run(const char* psp, const char* ssp, double load,
         master.split(), lc));
     locals.back()->start();
   }
+  workload::GlobalSource::Config gc;
   gc.lambda = rates.lambda_global;
-  workload::RandomGraphSource globals(engine, pm, master.split(), gc);
+  gc.slack_min = 2.5;  // random shapes average ~2 serial levels
+  gc.slack_max = 10.0;
+  workload::GlobalSource globals(engine, pm, master.split(), gc, shape);
   globals.start();
 
   engine.run_until(env.sim_time);

@@ -99,9 +99,10 @@ double run(std::shared_ptr<const core::PspStrategy> psp, std::uint64_t seed,
         master.split(), lc));
     locals.back()->start();
   }
-  workload::ParallelGlobalSource::Config gc;
+  workload::GlobalSource::Config gc;
   gc.lambda = rates.lambda_global;
-  workload::ParallelGlobalSource globals(engine, pm, master.split(), gc);
+  workload::GlobalSource globals(engine, pm, master.split(), gc,
+                                 workload::FlatShape{});
   globals.start();
 
   engine.run_until(40000.0);

@@ -71,9 +71,10 @@ metrics::MissTimeSeries run_storm(const char* psp_name, double burst_factor,
         lc));
     locals.back()->start();
   }
-  workload::ParallelGlobalSource::Config gc;
+  workload::GlobalSource::Config gc;
   gc.lambda = rates.lambda_global;
-  workload::ParallelGlobalSource globals(engine, pm, master.split(), gc);
+  workload::GlobalSource globals(engine, pm, master.split(), gc,
+                                 workload::FlatShape{});
   globals.start();
 
   engine.run_until(kHorizon);

@@ -21,9 +21,10 @@
 #      shards=4 must report identical replication fingerprints (the
 #      conservative time-window fabric's bit-identity contract), at
 #      zero lookahead, at net_latency=0.5, with transient faults at
-#      the default retry backoff, and under each non-EDF ready-queue
-#      policy (fifo, spt, llf); the sharded run's sda.run.v1 lines
-#      carry the fabric counter block.
+#      the default retry backoff, under each non-EDF ready-queue
+#      policy (fifo, spt, llf), and for bursty graph arrivals with link
+#      nodes; the sharded run's sda.run.v1 lines carry the fabric
+#      counter block.
 #   7. sda_run --serve smoke — a scripted submission stream through the
 #      admission front door: every line parses as JSON, N submissions get
 #      exactly N sda.admit.v1 decisions plus one summary, `done` lines for
@@ -202,6 +203,23 @@ for policy in fifo spt llf; do
   fi
   echo "policy smoke ok: scheduler_policy=$policy shards=4 reproduces shards=1 ($SERIAL_FP)"
 done
+
+# Bursty graph arrivals: the interrupted-Poisson sampler drives the one
+# global source on the control lane for every task shape, links included.
+for shards in 1 4; do
+  "$BUILD/tools/sda_run" sim_time=2000 reps=2 global_kind=graph link_count=2 \
+    global_burst_factor=4 net_latency=0.5 shards="$shards" \
+    > "$SMOKE_DIR/graph_burst_${shards}.txt"
+done
+SERIAL_FP=$(grep -o "fingerprints:.*" "$SMOKE_DIR/graph_burst_1.txt")
+SHARDED_FP=$(grep -o "fingerprints:.*" "$SMOKE_DIR/graph_burst_4.txt")
+if [[ -z "$SERIAL_FP" || "$SERIAL_FP" != "$SHARDED_FP" ]]; then
+  echo "FAIL: bursty graph sharded fingerprints diverge" >&2
+  echo "  shards=1: $SERIAL_FP" >&2
+  echo "  shards=4: $SHARDED_FP" >&2
+  exit 1
+fi
+echo "graph burst smoke ok: global_burst_factor=4 shards=4 reproduces shards=1 ($SERIAL_FP)"
 
 echo ""
 echo "=== [7/8] sda_run --serve smoke + schema check ==="

@@ -88,11 +88,12 @@ struct ExperimentConfig {
   workload::PexModel pex = workload::PexModel::exact();
 
   /// §7.4 extension: per-subtask exponential mean spread factor (>= 1;
-  /// 1 = the paper's homogeneous subtasks).  kParallel workloads only.
+  /// 1 = the paper's homogeneous subtasks).  kParallel workloads only:
+  /// validate() rejects a spread with kGraph.
   double subtask_exec_spread = 1.0;
 
-  /// Placement of parallel subtasks: "uniform" (the paper's model) or
-  /// "least-queued" (extension ablation).  kParallel workloads only.
+  /// Placement of parallel subtasks (and of each kGraph stage): "uniform"
+  /// (the paper's model) or "least-queued" (extension ablation).
   std::string placement = "uniform";
 
   /// Collect log-bucketed response-time/tardiness distributions per task
@@ -161,8 +162,9 @@ struct ExperimentConfig {
   double admission_shed_headroom = 0.15;
 
   /// Global-arrival burstiness (interrupted Poisson, like the local
-  /// knobs): 1 = the paper's pure Poisson, unchanged mean load.  The
-  /// overload tests drive the admission state machine with this.
+  /// knobs), for every global kind: 1 = the paper's pure Poisson,
+  /// unchanged mean load.  The overload tests drive the admission state
+  /// machine with this.
   double global_burst_factor = 1.0;
   double global_burst_cycle = 50.0;
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "src/exp/config.hpp"
@@ -35,12 +36,20 @@ double parse_double(const std::string& key, const std::string& value) {
   return out;
 }
 
-long long parse_int(const std::string& key, const std::string& value) {
-  long long out = 0;
+/// Parses a whole decimal integer of type Int: out-of-range values are
+/// refused rather than wrapped, and unsigned types take no sign.
+template <typename Int>
+Int parse_int(const std::string& key, const std::string& value) {
+  Int out = 0;
   const auto res = std::from_chars(value.data(), value.data() + value.size(), out);
+  if (res.ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("config key '" + key + "': '" + value +
+                                "' is out of range");
+  }
   if (res.ec != std::errc{} || res.ptr != value.data() + value.size()) {
-    throw std::invalid_argument("config key '" + key +
-                                "': cannot parse '" + value + "' as an integer");
+    throw std::invalid_argument(
+        "config key '" + key + "': cannot parse '" + value + "' as " +
+        (std::is_unsigned_v<Int> ? "a non-negative integer" : "an integer"));
   }
   return out;
 }
@@ -87,7 +96,7 @@ struct Field {
   Field{#member,                                                         \
         [](const ExperimentConfig& c) { return std::to_string(c.member); }, \
         [](ExperimentConfig& c, const std::string& v) {                  \
-          c.member = static_cast<int>(parse_int(#member, v));            \
+          c.member = parse_int<int>(#member, v);                         \
         }}
 #define SDA_KV_BOOL(member)                                              \
   Field{#member,                                                         \
@@ -201,8 +210,7 @@ const std::vector<Field>& fields() {
             [](ExperimentConfig& c, const std::string& v) {
               std::vector<int> widths;
               for (const std::string& part : split_csv(v)) {
-                widths.push_back(
-                    static_cast<int>(parse_int("stage_widths", part)));
+                widths.push_back(parse_int<int>("stage_widths", part));
               }
               c.stage_widths = std::move(widths);
             }},
@@ -275,7 +283,7 @@ const std::vector<Field>& fields() {
       Field{"seed",
             [](const ExperimentConfig& c) { return std::to_string(c.seed); },
             [](ExperimentConfig& c, const std::string& v) {
-              c.seed = static_cast<std::uint64_t>(parse_int("seed", v));
+              c.seed = parse_int<std::uint64_t>("seed", v);
             }},
   };
   return kFields;

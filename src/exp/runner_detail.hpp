@@ -45,7 +45,6 @@
 #include "src/workload/global_source.hpp"
 #include "src/workload/local_source.hpp"
 #include "src/workload/rates.hpp"
-#include "src/workload/taskgraph_source.hpp"
 
 namespace sda::exp::detail {
 
@@ -232,52 +231,46 @@ RunResult run_system(const ExperimentConfig& config, std::uint64_t seed,
     local_sources.back()->start();
   }
 
-  const auto [gslack_min, gslack_max] = config.resolved_global_slack();
-  std::unique_ptr<workload::ParallelGlobalSource> parallel_source;
-  std::unique_ptr<workload::GraphGlobalSource> graph_source;
+  // One global source; global_kind picks the shape of its trees.
+  // "least-queued" reads live node state, so validate() rejects it with
+  // shards > 1; "uniform" never dereferences the nodes.
+  auto placement = workload::make_placement(
+      config.placement,
+      std::vector<const sched::Node*>(node_ptrs.begin(), node_ptrs.end()));
+  const workload::ExecDistribution exec = workload::make_exec_distribution(
+      config.service_dist, 1.0 / config.mu_subtask, config.service_cv);
+  workload::Shape shape;
   if (config.global_kind == GlobalKind::kParallel) {
-    workload::ParallelGlobalSource::Config gc;
-    gc.lambda = rates.lambda_global;
-    gc.k = config.k;
-    gc.n_min = config.n_min;
-    gc.n_max = config.n_max;
-    gc.mean_subtask_exec = 1.0 / config.mu_subtask;
-    gc.slack_min = gslack_min;
-    gc.slack_max = gslack_max;
-    gc.pex = config.pex;
-    gc.exec_spread = config.subtask_exec_spread;
-    gc.exec = workload::make_exec_distribution(
-        config.service_dist, 1.0 / config.mu_subtask, config.service_cv);
-    // "least-queued" reads live node state, so validate() rejects it in
-    // message mode; "uniform" never dereferences the nodes.
-    gc.placement = workload::make_placement(
-        config.placement,
-        std::vector<const sched::Node*>(node_ptrs.begin(), node_ptrs.end()));
-    gc.burst_factor = config.global_burst_factor;
-    gc.burst_cycle = config.global_burst_cycle;
-    gc.admission = admission_ptr;
-    parallel_source = std::make_unique<workload::ParallelGlobalSource>(
-        control_engine, pm, master.split(), gc);
-    parallel_source->start();
+    shape = workload::FlatShape{.k = config.k,
+                                .n_min = config.n_min,
+                                .n_max = config.n_max,
+                                .exec = exec,
+                                .exec_spread = config.subtask_exec_spread,
+                                .pex = config.pex,
+                                .placement = std::move(placement)};
   } else {
-    workload::GraphGlobalSource::Config gc;
-    gc.lambda = rates.lambda_global;
-    gc.k = config.k;
-    gc.stage_widths = config.stage_widths;
-    gc.mean_subtask_exec = 1.0 / config.mu_subtask;
-    gc.slack_min = gslack_min;
-    gc.slack_max = gslack_max;
-    gc.pex = config.pex;
+    workload::StagedShape staged{.k = config.k,
+                                 .stage_widths = config.stage_widths,
+                                 .exec = exec,
+                                 .pex = config.pex,
+                                 .placement = std::move(placement),
+                                 .mean_msg_time = config.mean_msg_time};
     for (int link = 0; link < link_count; ++link) {
-      gc.link_nodes.push_back(config.k + link);
+      staged.link_nodes.push_back(config.k + link);
     }
-    gc.mean_msg_time = config.mean_msg_time;
-    gc.exec = workload::make_exec_distribution(
-        config.service_dist, 1.0 / config.mu_subtask, config.service_cv);
-    graph_source = std::make_unique<workload::GraphGlobalSource>(
-        control_engine, pm, master.split(), gc);
-    graph_source->start();
+    shape = std::move(staged);
   }
+  workload::GlobalSource::Config gc;
+  gc.lambda = rates.lambda_global;
+  const auto [gslack_min, gslack_max] = config.resolved_global_slack();
+  gc.slack_min = gslack_min;
+  gc.slack_max = gslack_max;
+  gc.burst_factor = config.global_burst_factor;
+  gc.burst_cycle = config.global_burst_cycle;
+  gc.admission = admission_ptr;
+  workload::GlobalSource global_source(control_engine, pm, master.split(), gc,
+                                       std::move(shape));
+  global_source.start();
 
   // --- fault injection --------------------------------------------------------
   // The fault stream is split from the master only when faults are on, and
@@ -332,9 +325,7 @@ RunResult run_system(const ExperimentConfig& config, std::uint64_t seed,
   for (const auto& src : local_sources) {
     result.locals_generated += src->generated();
   }
-  result.globals_generated =
-      parallel_source ? parallel_source->generated()
-                      : (graph_source ? graph_source->generated() : 0);
+  result.globals_generated = global_source.generated();
   result.globals_completed = pm.completed_runs();
   result.globals_aborted = pm.aborted_runs();
   result.local_scheduler_aborts = local_aborts;
@@ -352,9 +343,7 @@ RunResult run_system(const ExperimentConfig& config, std::uint64_t seed,
     result.admission_enabled = true;
     result.admission = admission_ptr->stats();
     result.admission_final_state = admission_ptr->state();
-    if (parallel_source) {
-      result.globals_not_admitted = parallel_source->not_admitted();
-    }
+    result.globals_not_admitted = global_source.not_admitted();
   }
   result.fabric = wiring.fabric_stats();
   return result;

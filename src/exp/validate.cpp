@@ -115,6 +115,9 @@ std::vector<std::string> ExperimentConfig::validate() const {
         break;
       }
     }
+    if (c.subtask_exec_spread > 1.0) {
+      bad("subtask_exec_spread applies to global_kind=parallel only");
+    }
     if (c.link_count < 0) bad("link_count must be >= 0");
     if (c.link_count > 0 && c.mean_msg_time <= 0.0) {
       bad("mean_msg_time must be positive when links are modeled");

@@ -1,7 +1,8 @@
 // Named application scenarios: serial-parallel task shapes drawn from the
 // paper's motivating discussion and kin, expressed as stage-width lists for
-// GraphGlobalSource.  Each scenario documents what the stages stand for, so
-// examples and the CLI driver can reference realistic workloads by name.
+// StagedShape (global_kind=graph's stage_widths).  Each scenario documents
+// what the stages stand for, so examples and the CLI driver can reference
+// realistic workloads by name.
 #pragma once
 
 #include <string>

@@ -154,6 +154,34 @@ TEST(ConfigKv, BadValuesThrow) {
   EXPECT_THROW(c.set("node_speeds", "1,,2"), std::invalid_argument);
 }
 
+TEST(ConfigKv, IntegersOutOfRangeAreRefusedNotWrapped) {
+  ExperimentConfig c = exp::baseline_config();
+  // 4294967302 = 2^32 + 6 and 4294967297 = 2^32 + 1 would wrap to 6 and 1.
+  EXPECT_THROW(c.set("k", "4294967302"), std::invalid_argument);
+  EXPECT_THROW(c.set("replications", "4294967297"), std::invalid_argument);
+  EXPECT_THROW(c.set("stage_widths", "1,4294967297"), std::invalid_argument);
+  EXPECT_THROW(c.set("k", "-2147483649"), std::invalid_argument);
+  EXPECT_EQ(c.k, 6);
+  EXPECT_EQ(c.replications, exp::baseline_config().replications);
+  c.set("k", "2147483647");
+  EXPECT_EQ(c.k, 2147483647);
+  c.set("k", "-2147483648");
+  EXPECT_EQ(c.k, -2147483647 - 1);
+}
+
+TEST(ConfigKv, SeedIsUnsigned64Bit) {
+  ExperimentConfig c = exp::baseline_config();
+  EXPECT_THROW(c.set("seed", "-1"), std::invalid_argument);
+  EXPECT_THROW(c.set("seed", "18446744073709551616"), std::invalid_argument);
+  c.set("seed", "18446744073709551615");
+  EXPECT_EQ(c.seed, 0xffffffffffffffffULL);
+  // to_kv() -> set() round-trips seeds at and above 2^63.
+  c.seed = 0x8000000000000005ULL;
+  ExperimentConfig d = exp::baseline_config();
+  d.set("seed", c.get("seed"));
+  EXPECT_EQ(d.seed, c.seed);
+}
+
 TEST(ConfigKv, BoolSpellings) {
   ExperimentConfig c = exp::baseline_config();
   for (const char* t : {"1", "true", "yes", "on"}) {

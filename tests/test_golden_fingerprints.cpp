@@ -5,8 +5,10 @@
 // Together the configurations cover the Table-1 baseline, the §8 graph
 // system, link nodes with message faults, local aborts under DIV-x/EQS and
 // under preemption, GF with process-manager and local aborts, crashes with
-// and without queue discard, the admission gate under overload, and the
-// FIFO, SPT and LLF ready-queue orders at a load where queues form.
+// and without queue discard, the admission gate under overload, the
+// FIFO, SPT and LLF ready-queue orders at a load where queues form, and
+// the flat-task generator's knobs: non-homogeneous n, execution spread,
+// least-queued placement and bursty global arrivals.
 //
 // A change that moves any of these values changes simulated behaviour.
 // Such a change must say so in CHANGES.md, name each moved config with its
@@ -65,6 +67,14 @@ const Golden kGolden[] = {
      0xf35a721e1ffc3f08ull},
     {"llf_load_0.9", "scheduler_policy=llf load=0.9", 0x04632490d1a15285ull,
      0xa98994d6f6393f9cull},
+    {"nonhomogeneous_n", "n_min=2 n_max=6", 0xf816086e175f2961ull,
+     0xc869265ccf13e8b0ull},
+    {"exec_spread_3", "subtask_exec_spread=3", 0xb70c6e972b008f76ull,
+     0x2514e82f3e6af8deull},
+    {"least_queued_gf", "placement=least-queued psp=gf", 0x066853ce29078504ull,
+     0x0d1708a35bce9ad3ull},
+    {"global_burst_4", "global_burst_factor=4 load=0.8", 0x624b4cfb7f58901eull,
+     0x42f1408f8bdd2652ull},
 };
 
 exp::ExperimentConfig config_of(const Golden& g) {
@@ -89,6 +99,20 @@ TEST(GoldenFingerprints, SerialEngineMatchesThePinnedValues) {
     EXPECT_EQ(fps[1], g.rep1) << g.label << " rep 1: got 0x" << std::hex
                               << fps[1];
   }
+}
+
+// Every global kind shares one arrival loop and one placement call, so a
+// graph workload honours global_burst_factor and placement like a flat one.
+TEST(GoldenFingerprints, GraphWorkloadsHonourBurstAndPlacement) {
+  const auto first_fp = [](const char* kv) {
+    std::vector<std::uint64_t> fps;
+    (void)exp::run_experiment(config_of({"graph", kv, 0, 0}),
+                              util::ThreadPool::shared(), &fps);
+    return fps.at(0);
+  };
+  const std::uint64_t plain = first_fp("global_kind=graph");
+  EXPECT_NE(first_fp("global_kind=graph global_burst_factor=4"), plain);
+  EXPECT_NE(first_fp("global_kind=graph placement=least-queued"), plain);
 }
 
 }  // namespace

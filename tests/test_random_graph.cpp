@@ -1,13 +1,15 @@
-// Tests for the random serial-parallel workload generator.
-#include "src/workload/random_graph.hpp"
-
+// Tests for the random serial-parallel task shape.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <set>
 
+#include "src/metrics/task_class.hpp"
 #include "src/sched/node.hpp"
 #include "src/task/notation.hpp"
+#include "src/workload/global_source.hpp"
 
 namespace {
 
@@ -41,16 +43,17 @@ class RandomGraphTest : public ::testing::Test {
 };
 
 TEST_F(RandomGraphTest, DrawnTreesAreValidAndVaried) {
-  workload::RandomGraphSource::Config gc;
-  gc.lambda = 0.01;
-  workload::RandomGraphSource src(engine, *pm, util::Rng(3), gc);
+  const workload::RandomShape shape{};
+  util::Rng rng(3);
   std::set<int> leaf_counts;
   std::set<int> depths;
   for (int i = 0; i < 200; ++i) {
-    const task::TreePtr t = src.draw_tree();
+    const workload::DrawnTask drawn = workload::draw(shape, rng);
+    EXPECT_EQ(drawn.metrics_class, metrics::global_class(0));
+    const task::TreePtr& t = drawn.tree;
     EXPECT_FALSE(t->is_leaf());  // globals are composites
     EXPECT_TRUE(task::validate(*t).empty()) << task::to_notation(*t);
-    EXPECT_LE(task::depth(*t), gc.max_depth + 1);
+    EXPECT_LE(task::depth(*t), shape.max_depth + 1);
     leaf_counts.insert(task::leaf_count(*t));
     depths.insert(task::depth(*t));
     // Parallel composites place leaf children at distinct nodes.
@@ -76,14 +79,16 @@ TEST_F(RandomGraphTest, DrawnTreesAreValidAndVaried) {
 }
 
 TEST_F(RandomGraphTest, CalibrationEstimatesMeanWork) {
-  workload::RandomGraphSource::Config gc;
-  gc.lambda = 0.01;
-  workload::RandomGraphSource src(engine, *pm, util::Rng(4), gc);
-  const double calibrated = src.calibrated_mean_work();
+  const workload::RandomShape shape{};
+  util::Rng rng(4);
+  util::Rng calibration = rng.split();
+  const double calibrated = workload::mean_total_ex(shape, calibration);
   EXPECT_GT(calibrated, 1.0);
   // Cross-check against a fresh sample.
   double total = 0.0;
-  for (int i = 0; i < 500; ++i) total += task::total_ex(*src.draw_tree());
+  for (int i = 0; i < 500; ++i) {
+    total += task::total_ex(*workload::draw(shape, rng).tree);
+  }
   EXPECT_NEAR(calibrated, total / 500.0, calibrated * 0.25);
 }
 
@@ -93,9 +98,12 @@ TEST_F(RandomGraphTest, EndToEndRunCompletes) {
     ++done;
     EXPECT_GT(r.subtask_count, 1);
   });
-  workload::RandomGraphSource::Config gc;
+  workload::GlobalSource::Config gc;
   gc.lambda = 0.02;
-  workload::RandomGraphSource src(engine, *pm, util::Rng(5), gc);
+  gc.slack_min = 2.5;
+  gc.slack_max = 10.0;
+  workload::GlobalSource src(engine, *pm, util::Rng(5), gc,
+                             workload::RandomShape{});
   src.start();
   engine.run_until(5000.0);
   EXPECT_GT(done, 50u);
@@ -104,34 +112,51 @@ TEST_F(RandomGraphTest, EndToEndRunCompletes) {
 }
 
 TEST_F(RandomGraphTest, Validation) {
-  workload::RandomGraphSource::Config gc;
-  gc.k = 1;
-  EXPECT_THROW(workload::RandomGraphSource(engine, *pm, util::Rng(1), gc),
+  const auto make = [&](workload::RandomShape shape) {
+    workload::GlobalSource(engine, *pm, util::Rng(1), {}, shape);
+  };
+  EXPECT_THROW(make({.k = 1}), std::invalid_argument);
+  EXPECT_THROW(make({.max_depth = 0}), std::invalid_argument);
+  EXPECT_THROW(make({.min_children = 5, .max_children = 3}),
                std::invalid_argument);
-  gc = {};
-  gc.max_depth = 0;
-  EXPECT_THROW(workload::RandomGraphSource(engine, *pm, util::Rng(1), gc),
-               std::invalid_argument);
-  gc = {};
-  gc.min_children = 5;
-  gc.max_children = 3;
-  EXPECT_THROW(workload::RandomGraphSource(engine, *pm, util::Rng(1), gc),
-               std::invalid_argument);
-  gc = {};
-  gc.leaf_probability = 1.0;
-  EXPECT_THROW(workload::RandomGraphSource(engine, *pm, util::Rng(1), gc),
-               std::invalid_argument);
+  EXPECT_THROW(make({.leaf_probability = 1.0}), std::invalid_argument);
+  util::Rng rng(1);
+  EXPECT_THROW(
+      (void)workload::mean_total_ex({.leaf_probability = 1.0}, rng),
+      std::invalid_argument);
 }
 
 TEST_F(RandomGraphTest, DeterministicForSameSeed) {
-  workload::RandomGraphSource::Config gc;
-  gc.lambda = 0.01;
-  workload::RandomGraphSource a(engine, *pm, util::Rng(9), gc);
-  workload::RandomGraphSource b(engine, *pm, util::Rng(9), gc);
+  const workload::RandomShape shape{};
+  util::Rng a(9);
+  util::Rng b(9);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(task::to_notation(*a.draw_tree(), true),
-              task::to_notation(*b.draw_tree(), true));
+    EXPECT_EQ(task::to_notation(*workload::draw(shape, a).tree, true),
+              task::to_notation(*workload::draw(shape, b).tree, true));
   }
+}
+
+// Pins the draw sequence and the calibration at a fixed seed: an FNV-1a
+// hash over the first 200 trees' attributed notation, and the bits of the
+// calibrated mean work (drawn on the arrival stream's first split, the
+// order bench/ablation_random_shapes uses).  A change that moves either
+// changes every random-shape workload.
+TEST_F(RandomGraphTest, PinnedDrawSequenceAndCalibration) {
+  const workload::RandomShape shape{};
+  util::Rng rng(2024);
+  util::Rng calibration = rng.split();
+  const double mean = workload::mean_total_ex(shape, calibration);
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (int i = 0; i < 200; ++i) {
+    for (const char ch :
+         task::to_notation(*workload::draw(shape, rng).tree, true)) {
+      hash = (hash ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
+    }
+  }
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &mean, sizeof bits);
+  EXPECT_EQ(hash, 0xeefeb37a70010cc5ull);
+  EXPECT_EQ(bits, 0x4026f2b67b584190ull) << mean;
 }
 
 }  // namespace

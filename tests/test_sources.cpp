@@ -8,12 +8,12 @@
 #include <vector>
 
 #include "src/core/process_manager.hpp"
+#include "src/exp/config.hpp"
 #include "src/metrics/collector.hpp"
 #include "src/sched/node.hpp"
 #include "src/util/stats.hpp"
 #include "src/workload/global_source.hpp"
 #include "src/workload/local_source.hpp"
-#include "src/workload/taskgraph_source.hpp"
 
 namespace {
 
@@ -142,9 +142,10 @@ TEST_F(GlobalSourceTest, Equation2DeadlineAndDistinctPlacement) {
     placement[t.owner_run].insert(t.exec_node);
   });
 
-  workload::ParallelGlobalSource::Config gc;
+  workload::GlobalSource::Config gc;
   gc.lambda = 0.05;
-  workload::ParallelGlobalSource src(engine, *pm, util::Rng(11), gc);
+  workload::GlobalSource src(engine, *pm, util::Rng(11), gc,
+                             workload::FlatShape{});
   src.start();
   engine.run_until(5000.0);
 
@@ -166,11 +167,10 @@ TEST_F(GlobalSourceTest, NonHomogeneousSizes) {
     ++size_counts[r.subtask_count];
     EXPECT_EQ(r.metrics_class, metrics::global_class(r.subtask_count));
   });
-  workload::ParallelGlobalSource::Config gc;
+  workload::GlobalSource::Config gc;
   gc.lambda = 0.05;
-  gc.n_min = 2;
-  gc.n_max = 6;
-  workload::ParallelGlobalSource src(engine, *pm, util::Rng(13), gc);
+  workload::GlobalSource src(engine, *pm, util::Rng(13), gc,
+                             workload::FlatShape{.n_min = 2, .n_max = 6});
   src.start();
   engine.run_until(20000.0);
   // All five sizes appear, roughly uniformly.
@@ -184,36 +184,43 @@ TEST_F(GlobalSourceTest, NonHomogeneousSizes) {
 }
 
 TEST_F(GlobalSourceTest, ExpectedWorkHelper) {
-  workload::ParallelGlobalSource::Config gc;
-  gc.n_min = 2;
-  gc.n_max = 6;
-  EXPECT_DOUBLE_EQ(workload::ParallelGlobalSource::expected_work(gc), 4.0);
-  gc.n_min = gc.n_max = 4;
-  gc.mean_subtask_exec = 0.5;
-  EXPECT_DOUBLE_EQ(workload::ParallelGlobalSource::expected_work(gc), 2.0);
+  exp::ExperimentConfig c;
+  c.n_min = 2;
+  c.n_max = 6;
+  EXPECT_DOUBLE_EQ(c.expected_global_work(), 4.0);
+  c.n_min = c.n_max = 4;
+  c.mu_subtask = 2.0;
+  EXPECT_DOUBLE_EQ(c.expected_global_work(), 2.0);
+  c.global_kind = exp::GlobalKind::kGraph;  // {1,4,1,4,1}: 11 subtasks
+  c.mu_subtask = 1.0;
+  EXPECT_DOUBLE_EQ(c.expected_global_work(), 11.0);
 }
 
 TEST_F(GlobalSourceTest, Validation) {
-  workload::ParallelGlobalSource::Config gc;
-  gc.n_min = 0;
-  EXPECT_THROW(workload::ParallelGlobalSource(engine, *pm, util::Rng(1), gc),
+  const auto make = [&](workload::GlobalSource::Config gc,
+                        workload::Shape shape) {
+    workload::GlobalSource(engine, *pm, util::Rng(1), gc, std::move(shape));
+  };
+  EXPECT_THROW(make({}, workload::FlatShape{.n_min = 0}),
                std::invalid_argument);
-  gc = {};
-  gc.n_max = 7;  // > k = 6 distinct nodes impossible
-  EXPECT_THROW(workload::ParallelGlobalSource(engine, *pm, util::Rng(1), gc),
+  // n_max > k = 6: distinct nodes impossible.
+  EXPECT_THROW(make({}, workload::FlatShape{.n_max = 7}),
                std::invalid_argument);
-  gc = {};
-  gc.lambda = -0.1;
-  EXPECT_THROW(workload::ParallelGlobalSource(engine, *pm, util::Rng(1), gc),
+  EXPECT_THROW(make({.lambda = -0.1}, workload::FlatShape{}),
+               std::invalid_argument);
+  EXPECT_THROW(make({.slack_min = 6.0}, workload::FlatShape{}),
+               std::invalid_argument);
+  EXPECT_THROW(make({.burst_factor = 0.5}, workload::FlatShape{}),
                std::invalid_argument);
 }
 
 TEST_F(GlobalSourceTest, GraphSourceDrawsFigure14Shape) {
-  workload::GraphGlobalSource::Config gc;
-  gc.lambda = 0.01;
-  workload::GraphGlobalSource src(engine, *pm, util::Rng(17), gc);
+  const workload::Shape shape = workload::StagedShape{};
+  util::Rng rng(17);
   for (int i = 0; i < 50; ++i) {
-    const task::TreePtr t = src.draw_tree();
+    const workload::DrawnTask drawn = workload::draw(shape, rng);
+    EXPECT_EQ(drawn.metrics_class, metrics::global_class(0));
+    const task::TreePtr& t = drawn.tree;
     ASSERT_TRUE(t->is_serial());
     ASSERT_EQ(t->children.size(), 5u);
     EXPECT_TRUE(t->children[0]->is_leaf());
@@ -232,16 +239,18 @@ TEST_F(GlobalSourceTest, GraphSourceDrawsFigure14Shape) {
       EXPECT_EQ(sites.size(), stage->children.size());
     }
   }
-  EXPECT_DOUBLE_EQ(workload::GraphGlobalSource::expected_work(gc), 11.0);
 }
 
 TEST_F(GlobalSourceTest, GraphSourceRunsEndToEnd) {
   std::vector<core::GlobalTaskRecord> recs;
   pm->set_global_handler(
       [&](const core::GlobalTaskRecord& r) { recs.push_back(r); });
-  workload::GraphGlobalSource::Config gc;
+  workload::GlobalSource::Config gc;
   gc.lambda = 0.02;
-  workload::GraphGlobalSource src(engine, *pm, util::Rng(19), gc);
+  gc.slack_min = 6.25;
+  gc.slack_max = 25.0;
+  workload::GlobalSource src(engine, *pm, util::Rng(19), gc,
+                             workload::StagedShape{});
   src.start();
   engine.run_until(10000.0);
   EXPECT_GT(recs.size(), 100u);
@@ -253,15 +262,14 @@ TEST_F(GlobalSourceTest, GraphSourceRunsEndToEnd) {
 }
 
 TEST_F(GlobalSourceTest, GraphSourceWithLinksInsertsMessages) {
-  workload::GraphGlobalSource::Config gc;
-  gc.lambda = 0.01;
-  gc.link_nodes = {6, 7};  // beyond the k = 6 compute range
-  gc.mean_msg_time = 0.5;
-  // The fixture only built 6 nodes, but draw_tree never dispatches; use it
-  // to inspect the generated shape.
-  workload::GraphGlobalSource src(engine, *pm, util::Rng(23), gc);
+  // Drawing never dispatches, so the fixture's 6 nodes suffice to inspect
+  // the generated shape.
+  const workload::Shape shape = workload::StagedShape{
+      .link_nodes = {6, 7},  // beyond the k = 6 compute range
+      .mean_msg_time = 0.5};
+  util::Rng rng(23);
   for (int i = 0; i < 30; ++i) {
-    const task::TreePtr t = src.draw_tree();
+    const task::TreePtr t = workload::draw(shape, rng).tree;
     // {1,4,1,4,1} + 4 message legs between the 5 stages = 9 serial children.
     ASSERT_TRUE(t->is_serial());
     EXPECT_EQ(t->children.size(), 9u);
@@ -273,37 +281,26 @@ TEST_F(GlobalSourceTest, GraphSourceWithLinksInsertsMessages) {
       EXPECT_TRUE(msg.exec_node == 6 || msg.exec_node == 7);
     }
   }
-  EXPECT_DOUBLE_EQ(workload::GraphGlobalSource::expected_message_work(gc),
-                   4 * 0.5);
-  workload::GraphGlobalSource::Config no_links;
-  EXPECT_DOUBLE_EQ(
-      workload::GraphGlobalSource::expected_message_work(no_links), 0.0);
 }
 
 TEST_F(GlobalSourceTest, GraphSourceRejectsLinkInComputeRange) {
-  workload::GraphGlobalSource::Config gc;
-  gc.link_nodes = {3};  // inside [0, 6)
-  EXPECT_THROW(workload::GraphGlobalSource(engine, *pm, util::Rng(1), gc),
+  const auto make = [&](workload::StagedShape shape) {
+    workload::GlobalSource(engine, *pm, util::Rng(1), {}, std::move(shape));
+  };
+  EXPECT_THROW(make({.link_nodes = {3}}),  // inside [0, 6)
                std::invalid_argument);
-  gc.link_nodes = {6};
-  gc.mean_msg_time = 0.0;
-  EXPECT_THROW(workload::GraphGlobalSource(engine, *pm, util::Rng(1), gc),
+  EXPECT_THROW(make({.link_nodes = {6}, .mean_msg_time = 0.0}),
                std::invalid_argument);
 }
 
 TEST_F(GlobalSourceTest, GraphSourceValidation) {
-  workload::GraphGlobalSource::Config gc;
-  gc.stage_widths = {};
-  EXPECT_THROW(workload::GraphGlobalSource(engine, *pm, util::Rng(1), gc),
-               std::invalid_argument);
-  gc = {};
-  gc.stage_widths = {1, 0};
-  EXPECT_THROW(workload::GraphGlobalSource(engine, *pm, util::Rng(1), gc),
-               std::invalid_argument);
-  gc = {};
-  gc.stage_widths = {1, 9};  // wider than k
-  EXPECT_THROW(workload::GraphGlobalSource(engine, *pm, util::Rng(1), gc),
-               std::invalid_argument);
+  const auto make = [&](std::vector<int> widths) {
+    workload::GlobalSource(engine, *pm, util::Rng(1), {},
+                           workload::StagedShape{.stage_widths = widths});
+  };
+  EXPECT_THROW(make({}), std::invalid_argument);
+  EXPECT_THROW(make({1, 0}), std::invalid_argument);
+  EXPECT_THROW(make({1, 9}), std::invalid_argument);  // wider than k
 }
 
 }  // namespace

@@ -149,6 +149,20 @@ TEST(Validate, ThrowListsEveryProblem) {
   }
 }
 
+TEST(Validate, ExecSpreadIsForFlatTasksOnly) {
+  // The spread scales flat parallel subtasks; graph stages never drew it.
+  ExperimentConfig c = graph_config();
+  c.subtask_exec_spread = 3.0;
+  const std::vector<std::string> problems = c.validate();
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("subtask_exec_spread"), std::string::npos);
+  c.subtask_exec_spread = 1.0;
+  EXPECT_TRUE(c.validate().empty());
+  c = baseline_config();
+  c.subtask_exec_spread = 3.0;
+  EXPECT_TRUE(c.validate().empty());
+}
+
 TEST(Validate, LinkCountIgnoredForParallelKind) {
   ExperimentConfig c = baseline_config();  // kParallel
   c.link_count = -5;                       // only meaningful for kGraph
