@@ -8,18 +8,17 @@
 // ahead of) is exactly what explodes.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.5;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A9 — bursty local arrivals (load 0.5, mean rate unchanged)",
       "transient overload drives misses (paper §5); deadline promotion keeps"
       " paying off under bursts",
-      base, env);
+      base);
 
   util::Table table({"burst factor", "strategy", "MD_local", "MD_global"});
   for (double factor : {1.0, 2.0, 4.0, 8.0}) {

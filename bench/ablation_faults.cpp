@@ -55,9 +55,7 @@ Cell measure(const exp::ExperimentConfig& c) {
   metrics::Report report;
   std::uint64_t globals = 0, shed = 0, retries = 0;
   for (int rep = 0; rep < c.replications; ++rep) {
-    const std::uint64_t seed =
-        c.seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(rep + 1);
-    exp::RunResult r = exp::run_once(c, seed);
+    exp::RunResult r = exp::run_once(c, exp::replication_seed(c.seed, rep));
     report.add_replication(r.collector);
     globals += r.globals_completed + r.globals_aborted;
     shed += r.globals_shed;
@@ -77,18 +75,17 @@ Cell measure(const exp::ExperimentConfig& c) {
 
 }  // namespace
 
-int main() {
-  const util::BenchEnv env = util::bench_env();
+int bench::driver(int argc, char** argv) {
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.6;
   base.psp = "div-1";
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A13 — transient faults x recovery policy (DIV-1, load 0.6)",
       "SDA-recomputed retry deadlines degrade most gracefully; stale"
       " deadlines poison the EDF ordering; no recovery sheds every victim",
-      base, env);
+      base);
 
   const double fault_rates[] = {0.0, 0.02, 0.05, 0.10};
 

@@ -6,18 +6,17 @@
 // equivalent; too-small DELTAs degrade gracefully toward UD.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.6;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A4 — GF DELTA sensitivity (load 0.6)",
       "all DELTA >> deadline horizon give identical results; small DELTA"
       " degrades toward UD",
-      base, env);
+      base);
 
   util::Table table({"DELTA", "MD_local", "MD_global"});
   // The deadline horizon here is ~ max ex + S_max ~ 10 time units; small

@@ -8,17 +8,16 @@
 // DIV-x's promotion is size-blind and should still level things.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.5;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A7 — per-subtask execution-time spread (load 0.5)",
       "heterogeneous subtask demands keep the UD >> DIV-1 >= GF ordering",
-      base, env);
+      base);
 
   util::Table table({"exec spread", "strategy", "MD_local", "MD_global"});
   for (double spread : {1.0, 2.0, 4.0}) {

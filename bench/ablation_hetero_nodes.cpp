@@ -8,18 +8,17 @@
 // deadline promotion should matter *more*, not less.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.5;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A6 — heterogeneous node speeds (load 0.5, mean speed 1.0)",
       "globals degrade faster than locals as speed spread grows; DIV-1/GF"
       " remain effective",
-      base, env);
+      base);
 
   struct Case {
     const char* label;

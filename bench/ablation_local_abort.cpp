@@ -14,19 +14,18 @@
 //    no-abort behaviour.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.local_abort = sched::LocalAbortPolicy::kAbortOnVirtualDeadline;
   base.load = 0.6;  // "moderate to tight environment"
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A1 — abortion by local schedulers (paper §7.3)",
       "DIV-x performs poorly under local aborts, worse for bigger x;"
       " non-abortable directives fix it",
-      base, env);
+      base);
 
   util::Table table({"strategy", "MD_local", "MD_global", "resubmissions/run",
                      "local aborts"});
@@ -52,9 +51,7 @@ int main() {
     metrics::Report report;
     double resub = 0.0, aborts = 0.0, globals = 0.0;
     for (int rep = 0; rep < c.replications; ++rep) {
-      const std::uint64_t seed =
-          c.seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(rep + 1);
-      exp::RunResult r = exp::run_once(c, seed);
+      exp::RunResult r = exp::run_once(c, exp::replication_seed(c.seed, rep));
       resub += static_cast<double>(r.resubmissions);
       aborts += static_cast<double>(r.local_scheduler_aborts);
       globals += static_cast<double>(r.globals_generated);

@@ -11,19 +11,18 @@
 // proportion to their predicted time).
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::graph_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.5;
   base.mean_msg_time = 0.25;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A10 — explicit link resources on the Fig 14 graph (load 0.5)",
       "message queueing adds misses; EQF-DIV1 keeps its lead; a second link"
       " relieves the contention",
-      base, env);
+      base);
 
   util::Table table({"links", "SDA", "MD_local", "MD_global", "link util"});
   for (int links : {0, 1, 2}) {
@@ -37,10 +36,7 @@ int main() {
       metrics::Report report;
       double link_util = 0.0;
       for (int rep = 0; rep < c.replications; ++rep) {
-        const std::uint64_t seed =
-            c.seed +
-            0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(rep + 1);
-        exp::RunResult r = exp::run_once(c, seed);
+        exp::RunResult r = exp::run_once(c, exp::replication_seed(c.seed, rep));
         link_util += r.mean_link_utilization;
         report.add_replication(r.collector);
       }

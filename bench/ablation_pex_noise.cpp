@@ -6,20 +6,19 @@
 // plus the degenerate always-the-mean estimator.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::graph_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.6;
   base.psp = "div-1";
   base.ssp = "eqf";
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A3 — EQF vs pex estimation error (Fig 14 graph, load 0.6)",
       "[6]: EQF tolerates estimates off by a factor of ~2; degradation"
       " should be graceful",
-      base, env);
+      base);
 
   util::Table table({"pex model", "MD_local", "MD_global"});
   struct Case {

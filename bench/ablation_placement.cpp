@@ -8,18 +8,17 @@
 // of good placement.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.6;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A8 — uniform vs least-queued subtask placement (load 0.6)",
       "extension beyond the paper: good placement lowers MD_global on its"
       " own, but deadline assignment still helps on top",
-      base, env);
+      base);
 
   util::Table table({"placement", "strategy", "MD_local", "MD_global",
                      "MD_subtask"});

@@ -5,18 +5,17 @@
 // MD_global) is not an artifact of non-preemptive service.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.6;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A2 — preemptive-resume vs non-preemptive EDF (load 0.6)",
       "the UD >> DIV-1 > GF ordering should hold under both service"
       " disciplines",
-      base, env);
+      base);
 
   util::Table table({"service", "strategy", "MD_local", "MD_global"});
   for (bool preemptive : {false, true}) {

@@ -8,8 +8,10 @@
 //
 // This bench assembles the system manually (the Runner's workload menu does
 // not include random shapes) — also demonstrating the library's composition
-// API end to end.
+// API end to end.  That hand-built system runs one replication per cell and
+// reads only sim_time, warmup_fraction and seed; every other key is refused.
 #include <memory>
+#include <stdexcept>
 
 #include "bench/common.hpp"
 
@@ -28,9 +30,9 @@ struct Outcome {
 };
 
 Outcome run(const char* psp, const char* ssp, double load,
-            const util::BenchEnv& env) {
+            const exp::ExperimentConfig& run_length) {
   sim::Engine engine;
-  util::Rng master(env.seed);
+  util::Rng master(run_length.seed);
   constexpr int kNodes = 6;
 
   std::vector<std::unique_ptr<sched::Node>> nodes;
@@ -47,7 +49,7 @@ Outcome run(const char* psp, const char* ssp, double load,
   core::ProcessManager pm(engine, ptrs, std::move(pc));
 
   metrics::Collector collector;
-  collector.set_warmup(env.warmup_fraction * env.sim_time);
+  collector.set_warmup(run_length.warmup_fraction * run_length.sim_time);
   pm.set_global_handler(
       [&](const core::GlobalTaskRecord& r) { collector.record_global(r); });
   for (auto& n : nodes) {
@@ -89,7 +91,7 @@ Outcome run(const char* psp, const char* ssp, double load,
   workload::GlobalSource globals(engine, pm, master.split(), gc, shape);
   globals.start();
 
-  engine.run_until(env.sim_time);
+  engine.run_until(run_length.sim_time);
   Outcome out;
   out.md_local = collector.counts(metrics::kLocalClass).miss_rate();
   out.md_global = collector.counts(metrics::global_class(0)).miss_rate();
@@ -98,17 +100,27 @@ Outcome run(const char* psp, const char* ssp, double load,
 
 }  // namespace
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig header = exp::baseline_config();
-  exp::figures::apply_bench_env(header, env);
+  header.replications = 1;
+  bench::apply_kv_args(argc, argv, header);
+  exp::ExperimentConfig read = exp::baseline_config();
+  read.replications = 1;
+  read.sim_time = header.sim_time;
+  read.warmup_fraction = header.warmup_fraction;
+  read.seed = header.seed;
+  if (read.to_kv() != header.to_kv()) {
+    throw std::invalid_argument(
+        "only sim_time, warmup_fraction and seed apply (one replication per "
+        "cell on a fixed 6-node system)");
+  }
 
   bench::print_header(
       "Ablation A12 — random serial-parallel shapes (depth <= 3, fan 2-4)",
       "shape-robustness: UD >> single strategies >> EQF-DIV1 should hold"
       " for arbitrary serial-parallel structure",
-      header, env);
+      header);
 
   util::Table table({"load", "SDA", "MD_local", "MD_global"});
   for (double load : {0.5, 0.6}) {
@@ -118,7 +130,7 @@ int main() {
           std::tuple{"EQF-UD", "ud", "eqf"},
           std::tuple{"EQF-DIV1", "div-1", "eqf"},
           std::tuple{"EQF-GF", "gf", "eqf"}}) {
-      const Outcome o = run(psp, ssp, load, env);
+      const Outcome o = run(psp, ssp, load, header);
       table.add_row({util::fmt(load, 1), label, util::fmt_pct(o.md_local),
                      util::fmt_pct(o.md_global)});
     }

@@ -7,18 +7,17 @@
 // honoring deadlines, not from the process manager's bookkeeping.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.6;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A5 — scheduler policy substrate (load 0.6)",
       "FIFO/SPT ignore deadlines: all PSP strategies coincide there; EDF is"
       " what makes deadline assignment matter",
-      base, env);
+      base);
 
   util::Table table({"policy", "MD_global(ud)", "MD_global(div-1)",
                      "MD_global(gf)", "MD_local(ud)"});

@@ -8,18 +8,17 @@
 // ordering — and DIV-1's "halve MD_global" effect — persist throughout.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.5;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Ablation A11 — service-time distribution (load 0.5, mean fixed at 1)",
       "miss rates scale with service CV; the UD >> DIV-1 >= GF ordering is"
       " distribution-robust",
-      base, env);
+      base);
 
   struct Case {
     const char* label;

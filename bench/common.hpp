@@ -1,14 +1,16 @@
 // Shared output helpers for the figure-regeneration benches.
 //
-// Every bench prints:  (1) a header with the figure id, the paper's claim,
-// and the run-length settings;  (2) a numeric table of the measured series
+// Every bench takes sda_run's key=value arguments (apply_kv_args) and
+// prints:  (1) a header with the figure id, the paper's claim, and the
+// run-length settings;  (2) a numeric table of the measured series
 // (with 95% CIs when more than one replication ran);  (3) an ASCII chart of
 // the same series so the figure's *shape* can be compared with the paper.
 #pragma once
 
 #include <cstddef>
 #include <cstdio>
-#include <exception>
+#include <stdexcept>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,50 +28,53 @@ using sda::exp::ExperimentConfig;
 using sda::exp::SweepPoint;
 using sda::exp::figures::LoadSweepSeries;
 
+/// Each bench's body, called by the main() in bench_main.cpp: apply the
+/// arguments to the figure's base config (apply_kv_args), run, and return
+/// the exit code.  main() turns any exception into its message on stderr
+/// and exit 64, as sda_run does: a bad argument, or a swept point that
+/// validate() refuses under the user's overrides (`fig09_choosing_x k=4`
+/// at n=6).
+int driver(int argc, char** argv);
+
 /// Applies key=value command-line overrides to @p config through the
-/// ExperimentConfig kv API (`fig06_div load=0.9 psp=gf`), so every figure
-/// bench accepts the same knobs as sda_run.  Unknown keys and bad values
-/// print set()'s error — including its did-you-mean suggestion — and
-/// return false; malformed (no '=') args print usage and return false.
-inline bool apply_kv_args(int argc, char** argv, ExperimentConfig& config) {
+/// ExperimentConfig kv API (`fig07_gf sim_time=1000000 k=8`), so every
+/// bench takes the same keys as sda_run, run length included, and then
+/// validates the result.  Unknown keys and bad values throw set()'s error —
+/// including its did-you-mean suggestion — as do malformed (no '=') args
+/// and an invalid config.  A key a bench sets per point (its swept
+/// variable) is overwritten there.
+inline void apply_kv_args(int argc, char** argv, ExperimentConfig& config) {
+  sda::util::warn_unknown_sda_env();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const std::size_t eq = arg.find('=');
     if (eq == std::string::npos || eq == 0) {
-      std::fprintf(stderr, "usage: %s [key=value ...]\n", argv[0]);
-      return false;
+      throw std::invalid_argument(std::string("usage: ") + argv[0] +
+                                  " [key=value ...]");
     }
-    try {
-      config.set(arg.substr(0, eq), arg.substr(eq + 1));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return false;
-    }
+    config.set(arg.substr(0, eq), arg.substr(eq + 1));
   }
-  return true;
+  config.validate_or_throw();
 }
 
-/// BenchEnv run-control fields copied out of a config, so benches that
-/// took kv overrides report and use the overridden run length.
-inline sda::util::BenchEnv env_from_config(const ExperimentConfig& config) {
-  sda::util::BenchEnv env;
-  env.sim_time = config.sim_time;
-  env.replications = config.replications;
-  env.warmup_fraction = config.warmup_fraction;
-  env.seed = config.seed;
-  return env;
+/// One-line run-length summary for bench headers.
+inline std::string describe_run(const ExperimentConfig& config) {
+  std::ostringstream os;
+  os << "sim_time=" << config.sim_time << " x " << config.replications
+     << " replications, warmup=" << config.warmup_fraction * 100
+     << "%, seed=" << config.seed;
+  return os.str();
 }
 
 inline void print_header(const std::string& figure,
                          const std::string& paper_claim,
-                         const ExperimentConfig& base,
-                         const sda::util::BenchEnv& env) {
+                         const ExperimentConfig& base) {
   std::printf("================================================================\n");
   std::printf("%s\n", figure.c_str());
   std::printf("================================================================\n");
   std::printf("paper:    %s\n", paper_claim.c_str());
   std::printf("system:   %s\n", base.describe().c_str());
-  std::printf("run:      %s\n", env.describe().c_str());
+  std::printf("run:      %s\n", describe_run(base).c_str());
   std::printf("\n");
 }
 

@@ -9,11 +9,10 @@
 
 #include "src/exp/csv.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
+  bench::apply_kv_args(argc, argv, base);
 
   std::error_code ec;
   std::filesystem::create_directories("results", ec);
@@ -61,8 +60,7 @@ int main() {
 
   // Figure 15: the serial-parallel graph with Table 2's combinations.
   {
-    exp::ExperimentConfig g = exp::graph_config();
-    exp::figures::apply_bench_env(g, env);
+    const exp::ExperimentConfig g = exp::graph_config(base);
     dump("fig15_ssp_psp_load_sweep.csv",
          exp::figures::load_sweep(
              g, {{"ud", "ud"}, {"div-1", "ud"}, {"ud", "eqf"}, {"div-1", "eqf"}},

@@ -13,19 +13,16 @@
 
 #include "bench/common.hpp"
 
-int main(int argc, char** argv) {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, util::bench_env());
-  // key=value overrides (same vocabulary as sda_run) win over SDA_* env.
-  if (!bench::apply_kv_args(argc, argv, base)) return 64;
-  const util::BenchEnv env = bench::env_from_config(base);
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Figure 5 — UD in the baseline experiment (MD vs load)",
       "at load 0.5: MD_local 8.9%, MD_subtask 7.1%, MD_global 25% (~3x local);"
       " 1-(1-0.071)^4 ~ 25.5% predicts the amplification",
-      base, env);
+      base);
 
   const auto loads = exp::figures::default_loads();
   auto series = exp::figures::load_sweep(base, {{"ud", "ud"}}, loads);

@@ -8,19 +8,16 @@
 //    though the missed-task *count* gets worse.
 #include "bench/common.hpp"
 
-int main(int argc, char** argv) {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, util::bench_env());
-  // key=value overrides (same vocabulary as sda_run) win over SDA_* env.
-  if (!bench::apply_kv_args(argc, argv, base)) return 64;
-  const util::BenchEnv env = bench::env_from_config(base);
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Figure 6 — UD vs DIV-x in the baseline experiment (MD vs load)",
       "DIV-1 halves MD_global (25%->13% at load .5) for +~2.7pp MD_local;"
       " DIV-2 ~= DIV-1 except at very high load",
-      base, env);
+      base);
 
   const auto loads = exp::figures::default_loads();
   auto series = exp::figures::load_sweep(

@@ -7,17 +7,16 @@
 //    the locals GF overtakes were going to miss anyway).
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Figure 7 — UD vs DIV-1 vs GF in the baseline experiment (MD vs load)",
       "GF ~= DIV-1 on MD_local but significantly lower MD_global,"
       " especially at high load",
-      base, env);
+      base);
 
   const auto loads = exp::figures::default_loads();
   auto series = exp::figures::load_sweep(

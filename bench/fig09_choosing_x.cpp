@@ -7,17 +7,16 @@
 //  * n = 2 has essentially stabilized by x = 1, so x = 1 suffices.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Figure 9 — MD(DIV-x) as a function of x, for n = 2, 4, 6",
       "MD curves flatten as x grows; larger n stabilizes at smaller x;"
       " x = 1 is sufficient in practice",
-      base, env);
+      base);
 
   const std::vector<double> xs = {0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0};
   util::Table table({"x", "MD_loc(n=2)", "MD_glb(n=2)", "MD_loc(n=4)",

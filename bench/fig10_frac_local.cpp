@@ -12,18 +12,17 @@
 //    by the same DELTA).
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Figure 10 — DIV-1 (a) and GF (b) vs frac_local, UD for reference",
       "MD(UD) rises mildly with frac_local; MD(DIV-1)/MD(GF) fall —"
       " most effective with a large local population; GF == UD at"
       " frac_local = 0",
-      base, env);
+      base);
 
   const std::vector<double> fracs = {0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9};
   const auto apply = [](exp::ExperimentConfig& c, double f) {

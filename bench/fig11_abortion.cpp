@@ -10,18 +10,17 @@
 //    for completeness).
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.pm_abort = core::PmAbortMode::kRealDeadline;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Figure 11 — UD vs DIV-1 with process-manager abortion (MD vs load)",
       "abortion lowers all miss rates; at load 0.5 MD_global: UD 15.0% vs"
       " DIV-1 7.8%; GF ~= DIV-1 (curves omitted in the paper)",
-      base, env);
+      base);
 
   const auto loads = exp::figures::default_loads();
   auto series = exp::figures::load_sweep(

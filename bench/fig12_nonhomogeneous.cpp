@@ -10,19 +10,18 @@
 //  * GF pushes every global class below the locals.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.n_min = 2;
   base.n_max = 6;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Figure 12 — MD per task class, n ~ U[2..6] (UD vs DIV-1 vs GF)",
       "UD: MD grows with n (n=6 ~ 33%, ~4x locals); DIV-1 evens all classes"
       " out; GF drops globals below locals",
-      base, env);
+      base);
 
   util::Table table({"class", "MD(UD)", "MD(DIV-1)", "MD(GF)"});
   std::vector<std::vector<std::string>> rows;

@@ -12,17 +12,16 @@
 //    benefits are additive.
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::graph_config();
-  exp::figures::apply_bench_env(base, env);
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Figure 15 — SDA combinations on the Figure 14 graph (Table 2)",
       "UD-UD >> others on MD_global; EQF and DIV-1 each help; EQF-DIV1 keeps"
       " MD_global ~ MD_local up to load ~0.6",
-      base, env);
+      base);
 
   // Table 2: the four SSP/PSP combinations.
   const std::vector<std::pair<std::string, std::string>> combos = {

@@ -12,18 +12,17 @@
 
 #include "src/exp/runner.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.6;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Latency profile — response time and tardiness per class (load 0.6)",
       "DIV-1/GF shorten global response times; local tardiness tail grows"
       " slightly (Figure 8's L_earlier argument)",
-      base, env);
+      base);
 
   util::Table table({"strategy", "class", "mean resp", "max resp",
                      "mean tardy", "P90 tardy", "P99 tardy", "max tardy"});
@@ -31,7 +30,7 @@ int main() {
     exp::ExperimentConfig c = base;
     c.psp = psp;
     c.distributions = true;
-    const exp::RunResult r = exp::run_once(c, env.seed);
+    const exp::RunResult r = exp::run_once(c, c.seed);
     const struct {
       const char* label;
       int cls;

@@ -11,11 +11,8 @@
 
 namespace {
 
-sda::exp::ExperimentConfig pipeline_config(int stages, double slack_scale,
-                                           const sda::util::BenchEnv& env) {
-  sda::exp::ExperimentConfig c = sda::exp::graph_config();
-  sda::exp::figures::apply_bench_env(c, env);
-  c.load = 0.6;
+sda::exp::ExperimentConfig pipeline_config(sda::exp::ExperimentConfig c,
+                                           int stages, double slack_scale) {
   c.stage_widths.assign(static_cast<std::size_t>(stages), 1);
   // Global slack scales with the pipeline length (as §8 scales Figure 14's
   // by 5); slack_scale < 1 tightens it.
@@ -26,17 +23,19 @@ sda::exp::ExperimentConfig pipeline_config(int stages, double slack_scale,
 
 }  // namespace
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
-  exp::ExperimentConfig header = pipeline_config(5, 1.0, env);
+  exp::ExperimentConfig base = exp::graph_config();
+  base.load = 0.6;
+  bench::apply_kv_args(argc, argv, base);
+  const exp::ExperimentConfig header = pipeline_config(base, 5, 1.0);
 
   bench::print_header(
       "Companion study [6] — SSP strategies on pure serial pipelines "
       "(load 0.6)",
       "EQF >> UD for serial tasks; improvement marked for > 3 stages with"
       " sufficient slack; ED/EQS sit between",
-      header, env);
+      header);
 
   for (double slack_scale : {1.0, 0.5}) {
     std::printf("--- slack %s (U[%.2f, %.1f] per 5-stage task) ---\n",
@@ -49,7 +48,7 @@ int main() {
       std::vector<std::string> row{std::to_string(stages)};
       std::string local_eqf;
       for (const char* ssp : {"ud", "ed", "eqs", "eqf"}) {
-        exp::ExperimentConfig c = pipeline_config(stages, slack_scale, env);
+        exp::ExperimentConfig c = pipeline_config(base, stages, slack_scale);
         c.ssp = ssp;
         const metrics::Report report = exp::run_experiment(c);
         row.push_back(util::fmt_pct(

@@ -12,16 +12,14 @@
 
 #include "bench/common.hpp"
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
   base.load = 0.5;
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header("In-text checks — every number the paper states in prose",
-                      "see header comment; all at baseline, load 0.5", base,
-                      env);
+                      "see header comment; all at baseline, load 0.5", base);
 
   // --- §6.1, no abortion ---------------------------------------------------
   exp::ExperimentConfig c = base;

@@ -36,17 +36,16 @@ double predicted_global_miss(int n, double load) {
 
 }  // namespace
 
-int main() {
+int bench::driver(int argc, char** argv) {
   using namespace sda;
-  const util::BenchEnv env = util::bench_env();
   exp::ExperimentConfig base = exp::baseline_config();
-  exp::figures::apply_bench_env(base, env);
+  bench::apply_kv_args(argc, argv, base);
 
   bench::print_header(
       "Validation V1 — analytic predictor vs simulation (UD)",
       "M/M/1 + independence approximation should track the simulated"
       " MD_global's shape in load and n",
-      base, env);
+      base);
 
   util::Table table({"load", "n", "predicted MD_global",
                      "simulated MD_global", "ratio"});

@@ -24,7 +24,7 @@
 #             silently regress, with headroom for slower CI hosts).
 #
 # Env: SDA_THREADS caps pool parallelism for the quick scorecard;
-#      SDA_SIM_TIME/SDA_REPS override the quick run length as usual;
+#      the quick run length is reproduce_all --quick's own (20000 x 2);
 #      SDA_BENCH_TOLERANCE sets the --check regression threshold (percent);
 #      SDA_SUBMIT_DRAIN_MIN sets the submit-drain items/s floor.
 set -euo pipefail

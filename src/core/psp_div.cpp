@@ -7,7 +7,9 @@
 namespace sda::core {
 
 PspDiv::PspDiv(double x) : x_(x) {
-  if (!(x > 0.0)) throw std::invalid_argument("DIV-x requires x > 0");
+  if (!(std::isfinite(x) && x > 0.0)) {
+    throw std::invalid_argument("DIV-x requires a finite x > 0");
+  }
 }
 
 Time PspDiv::assign(const PspContext& ctx, int /*branch*/,

@@ -1,11 +1,14 @@
 #include "src/core/psp_gf.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace sda::core {
 
 PspGlobalsFirst::PspGlobalsFirst(Time delta) : delta_(delta) {
-  if (!(delta > 0.0)) throw std::invalid_argument("GF requires DELTA > 0");
+  if (!(std::isfinite(delta) && delta > 0.0)) {
+    throw std::invalid_argument("GF requires a finite DELTA > 0");
+  }
 }
 
 Time PspGlobalsFirst::assign(const PspContext& ctx, int /*branch*/,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -27,18 +28,13 @@ Time SspContext::remaining_slack() const noexcept {
 
 namespace {
 
-/// Parses the parameter suffix of "div-2.5" / "gf-0.001"; nullopt-style:
-/// returns false when the text is not a clean number.
+/// Parses the parameter suffix of "div-2.5" / "gf-0.001" as strictly as a
+/// config value: returns false unless the whole text is one decimal number
+/// (no whitespace, '+', or hex spelling; the constructors refuse the rest).
 bool parse_param(const std::string& text, double* out) {
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(text, &used);
-    if (used != text.size()) return false;
-    *out = parsed;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, *out);
+  return ec == std::errc() && ptr == last;
 }
 
 // One generic registry (util::Registry, shared with the timer-queue

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "src/core/analysis.hpp"
-#include "src/exp/figures.hpp"
 #include "src/exp/runner.hpp"
 #include "src/metrics/task_class.hpp"
 #include "src/util/feq.hpp"
@@ -83,11 +82,10 @@ Md measure(ExperimentConfig c, int global_cls = metrics::global_class(4)) {
 
 }  // namespace
 
-Scorecard run_reproduction_battery(const util::BenchEnv& env) {
+Scorecard run_reproduction_battery(const ExperimentConfig& config) {
   Scorecard card;
 
-  ExperimentConfig base = baseline_config();
-  figures::apply_bench_env(base, env);
+  ExperimentConfig base = config;
   base.load = 0.5;
 
   // ---- Figure 5 / §6.1 anchors (UD at load 0.5) --------------------------
@@ -223,8 +221,7 @@ Scorecard run_reproduction_battery(const util::BenchEnv& env) {
 
   // ---- Figure 15 (SSP + PSP on the Fig. 14 graph) ---------------------------
   {
-    ExperimentConfig g = graph_config();
-    figures::apply_bench_env(g, env);
+    ExperimentConfig g = graph_config(config);
     g.load = 0.6;
     auto run_combo = [&](const char* psp, const char* ssp) {
       ExperimentConfig cc = g;

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "src/util/env.hpp"
+#include "src/exp/config.hpp"
 
 namespace sda::exp::compare {
 
@@ -48,8 +48,10 @@ class Scorecard {
 };
 
 /// Runs the full qualitative battery (every figure's orderings plus the
-/// in-text anchors) at the given run length.  Longer runs tighten the
-/// numeric anchors; the battery's tolerances assume sim_time >= ~50k.
-Scorecard run_reproduction_battery(const util::BenchEnv& env);
+/// in-text anchors) on top of @p config: each check sets its own strategy
+/// and swept variable, and the Figure 15 checks run the Figure 14 graph
+/// with @p config's other settings.  Longer runs tighten the numeric
+/// anchors; the battery's tolerances assume sim_time >= ~50k.
+Scorecard run_reproduction_battery(const ExperimentConfig& config);
 
 }  // namespace sda::exp::compare

@@ -93,12 +93,22 @@ std::string ExperimentConfig::describe() const {
 
 ExperimentConfig baseline_config() { return ExperimentConfig{}; }
 
-ExperimentConfig graph_config() {
-  ExperimentConfig c;
-  c.global_kind = GlobalKind::kGraph;
-  c.stage_widths = {1, 4, 1, 4, 1};
+std::vector<std::string> kind_only_keys(GlobalKind kind) {
+  if (kind == GlobalKind::kParallel) {
+    return {"n_min", "n_max", "subtask_exec_spread"};
+  }
+  return {"stage_widths", "link_count"};
+}
+
+ExperimentConfig graph_config(ExperimentConfig base) {
+  const ExperimentConfig defaults;
+  for (const std::string& key : kind_only_keys(GlobalKind::kParallel)) {
+    base.set(key, defaults.get(key));
+  }
+  base.global_kind = GlobalKind::kGraph;
+  base.stage_widths = {1, 4, 1, 4, 1};
   // global_slack_* stay negative: the derivation rule yields [6.25, 25].
-  return c;
+  return base;
 }
 
 }  // namespace sda::exp

@@ -259,8 +259,15 @@ struct ExperimentConfig {
 /// slack U[1.25, 5], mu_local = mu_subtask = 1, strategies UD/UD.
 ExperimentConfig baseline_config();
 
-/// Section 8's serial-parallel configuration: baseline system with the
-/// Figure 14 {1,4,1,4,1} graph workload and slack U[6.25, 25].
-ExperimentConfig graph_config();
+/// The keys only global tasks of @p kind read: n_min, n_max and
+/// subtask_exec_spread for parallel; stage_widths and link_count for graph.
+/// validate() refuses each away from its default under the other kind;
+/// graph_config() resets the parallel ones.
+std::vector<std::string> kind_only_keys(GlobalKind kind);
+
+/// Section 8's serial-parallel configuration: @p base (by default the
+/// baseline system) with the Figure 14 {1,4,1,4,1} graph workload and
+/// slack U[6.25, 25] in place of its flat tasks.
+ExperimentConfig graph_config(ExperimentConfig base = {});
 
 }  // namespace sda::exp

@@ -8,14 +8,6 @@ std::vector<double> default_loads() {
   return {0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
 }
 
-void apply_bench_env(ExperimentConfig& c, const util::BenchEnv& env) {
-  util::warn_unknown_sda_env();  // no-op after bench_env() already warned
-  c.sim_time = env.sim_time;
-  c.replications = env.replications;
-  c.warmup_fraction = env.warmup_fraction;
-  c.seed = env.seed;
-}
-
 std::vector<LoadSweepSeries> load_sweep(
     const ExperimentConfig& base,
     const std::vector<std::pair<std::string, std::string>>& strategies,

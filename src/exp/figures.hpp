@@ -6,15 +6,11 @@
 #include <vector>
 
 #include "src/exp/sweep.hpp"
-#include "src/util/env.hpp"
 
 namespace sda::exp::figures {
 
 /// The load grid used by the load-sweep figures (5, 6, 7, 11, 15).
 std::vector<double> default_loads();
-
-/// Applies the bench environment's run-length settings to a config.
-void apply_bench_env(ExperimentConfig& c, const util::BenchEnv& env);
 
 /// One strategy's curve in a load-sweep figure.
 struct LoadSweepSeries {

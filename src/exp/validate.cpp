@@ -102,7 +102,18 @@ std::vector<std::string> ExperimentConfig::validate() const {
     bad(e.what());
   }
 
-  if (c.global_kind == GlobalKind::kParallel) {
+  // Each global kind refuses the other kind's keys away from their defaults
+  // (the runner would ignore them, and --trace sizes tracks by link_count).
+  const bool parallel = c.global_kind == GlobalKind::kParallel;
+  const ExperimentConfig defaults;
+  for (const std::string& key : kind_only_keys(
+           parallel ? GlobalKind::kGraph : GlobalKind::kParallel)) {
+    if (c.get(key) != defaults.get(key)) {
+      bad(key + " applies to global_kind=" +
+          (parallel ? "graph" : "parallel") + " only");
+    }
+  }
+  if (parallel) {
     if (c.n_min < 1 || c.n_min > c.n_max) bad("need 1 <= n_min <= n_max");
     if (c.n_max > c.k) {
       bad("n_max exceeds k (parallel subtasks need distinct nodes)");
@@ -114,9 +125,6 @@ std::vector<std::string> ExperimentConfig::validate() const {
         bad("every stage width must be in [1, k]");
         break;
       }
-    }
-    if (c.subtask_exec_spread > 1.0) {
-      bad("subtask_exec_spread applies to global_kind=parallel only");
     }
     if (c.link_count < 0) bad("link_count must be >= 0");
     if (c.link_count > 0 && c.mean_msg_time <= 0.0) {

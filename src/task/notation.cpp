@@ -135,24 +135,18 @@ class Parser {
         break;
       }
     }
-    // Allocation-free fast path straight off the input buffer.  from_chars
-    // rejects a few spellings stod accepts (leading '+', locale quirks), so
-    // anything it does not consume exactly falls back to the legacy path —
-    // same accepted language, same errors, same values.
-    double v = 0.0;
+    // Straight off the input buffer, allocation-free.  from_chars takes no
+    // leading '+', so skip one: "+1.5" is 1.5, while "++1" and "+-1" leave
+    // a rest that is not one whole number and stay malformed.
     const char* first = text_.data() + start;
     const char* last = text_.data() + pos_;
+    if (first != last && *first == '+') ++first;
+    double v = 0.0;
     const auto [ptr, ec] = std::from_chars(first, last, v);
-    if (ec == std::errc() && ptr == last) return v;
-    try {
-      const std::string digits(text_, start, pos_ - start);
-      std::size_t used = 0;
-      const double slow = std::stod(digits, &used);
-      if (used != digits.size()) throw std::invalid_argument(digits);
-      return slow;
-    } catch (const std::exception&) {
+    if (ec != std::errc() || ptr != last) {
       throw NotationError(std::string("malformed ") + what, start);
     }
+    return v;
   }
 
   const std::string& text_;

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
-#include <sstream>
 
 extern "C" char** environ;
 
@@ -15,19 +14,8 @@ namespace sda::util {
 namespace {
 /// Every SDA_* variable a binary in this repo reads.  Keep in sync with the
 /// header comment above and docs/EXPERIMENTS.md.
-constexpr const char* kKnownSdaVars[] = {
-    "SDA_SIM_TIME", "SDA_REPS",    "SDA_WARMUP",   "SDA_SEED",
-    "SDA_FULL",     "SDA_THREADS", "SDA_VALIDATE",
-};
+constexpr const char* kKnownSdaVars[] = {"SDA_THREADS", "SDA_VALIDATE"};
 }  // namespace
-
-double env_double(const char* name, double fallback) noexcept {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return (end != nullptr && end != v) ? parsed : fallback;
-}
 
 std::int64_t env_int(const char* name, std::int64_t fallback) noexcept {
   const char* v = std::getenv(name);
@@ -42,13 +30,6 @@ bool env_flag(const char* name) noexcept {
   if (v == nullptr) return false;
   return std::strcmp(v, "1") == 0 || std::strcmp(v, "true") == 0 ||
          std::strcmp(v, "yes") == 0 || std::strcmp(v, "on") == 0;
-}
-
-std::string BenchEnv::describe() const {
-  std::ostringstream os;
-  os << "sim_time=" << sim_time << " x " << replications
-     << " replications, warmup=" << warmup_fraction * 100 << "%, seed=" << seed;
-  return os.str();
 }
 
 std::vector<std::string> unknown_sda_env() {
@@ -123,8 +104,9 @@ void warn_unknown_sda_env() noexcept {
       const std::string suggestion = closest_match(name, known);
       std::fprintf(stderr,
                    "WARNING: unknown environment variable %s (known knobs: "
-                   "SDA_SIM_TIME SDA_REPS SDA_WARMUP SDA_SEED SDA_FULL "
-                   "SDA_THREADS SDA_VALIDATE)%s%s — ignored\n",
+                   "SDA_THREADS SDA_VALIDATE; run length is key=value: "
+                   "sim_time= replications= warmup_fraction= seed=)%s%s — "
+                   "ignored\n",
                    name.c_str(),
                    suggestion.empty() ? "" : "; did you mean ",
                    suggestion.c_str());
@@ -132,20 +114,6 @@ void warn_unknown_sda_env() noexcept {
   } catch (...) {
     // Allocation failure while warning must not break the bench itself.
   }
-}
-
-BenchEnv bench_env() noexcept {
-  warn_unknown_sda_env();
-  BenchEnv e;
-  if (env_flag("SDA_FULL")) {
-    e.sim_time = 1e6;  // the paper's run length
-    e.replications = 2;
-  }
-  e.sim_time = env_double("SDA_SIM_TIME", e.sim_time);
-  e.replications = static_cast<int>(env_int("SDA_REPS", e.replications));
-  e.warmup_fraction = env_double("SDA_WARMUP", e.warmup_fraction);
-  e.seed = static_cast<std::uint64_t>(env_int("SDA_SEED", static_cast<std::int64_t>(e.seed)));
-  return e;
 }
 
 }  // namespace sda::util

@@ -1,21 +1,18 @@
-// Environment-variable configuration knobs shared by the bench binaries.
+// Process-level environment knobs.
 //
-// The paper's experiments use two runs of one million time units per data
-// point.  That is reproducible here but slow for a full regeneration of every
-// figure, so the benches read their run length from the environment:
+// Run length is not an environment setting: it is the ExperimentConfig
+// fields sim_time, replications, warmup_fraction and seed, which every
+// binary takes as key=value arguments (`fig07_gf sim_time=1000000
+// replications=2` is the paper's run length).  What stays in the
+// environment are knobs that belong to the process, not to a config:
 //
-//   SDA_SIM_TIME  simulated time units per replication (default 200000)
-//   SDA_REPS      independent replications per data point (default 2)
-//   SDA_WARMUP    warm-up fraction excluded from statistics (default 0.05)
-//   SDA_SEED      master seed (default 20250707)
-//   SDA_FULL=1    paper-length runs (1e6 time units x 2 replications)
 //   SDA_THREADS   worker parallelism for replication/sweep fan-out
 //                 (default: hardware_concurrency; 1 = strictly sequential —
-//                 read by util::ThreadPool, not by BenchEnv)
+//                 read by util::ThreadPool)
 //   SDA_VALIDATE=1  run-time invariant oracle: containment/monotonicity
 //                 checks on every SDA assignment plus structural self-checks
 //                 of the event queue and ready heaps; violations abort with
-//                 a dump (read by core::invariants, not by BenchEnv)
+//                 a dump (read by core::invariants)
 #pragma once
 
 #include <cstdint>
@@ -24,31 +21,11 @@
 
 namespace sda::util {
 
-/// Reads a double env var; returns @p fallback when unset or unparsable.
-double env_double(const char* name, double fallback) noexcept;
-
 /// Reads an integer env var; returns @p fallback when unset or unparsable.
 std::int64_t env_int(const char* name, std::int64_t fallback) noexcept;
 
 /// True when the env var is set to a truthy value ("1", "true", "yes", "on").
 bool env_flag(const char* name) noexcept;
-
-/// Bench run-length settings resolved from the environment.
-struct BenchEnv {
-  double sim_time = 200000.0;
-  int replications = 2;
-  double warmup_fraction = 0.05;
-  std::uint64_t seed = 20250707;
-
-  /// One-line summary for bench headers.
-  std::string describe() const;
-};
-
-/// Resolves BenchEnv from SDA_* variables (SDA_FULL overrides to
-/// paper-length runs).  Unknown SDA_*-prefixed variables — usually typos
-/// like SDA_SIMTIME — are reported loudly on stderr so a silently ignored
-/// knob does not masquerade as a short run.
-BenchEnv bench_env() noexcept;
 
 /// Names of set environment variables that start with "SDA_" but are not
 /// recognized knobs.  Variables prefixed "SDA_TEST_" are exempt (reserved

@@ -69,4 +69,38 @@ TEST(BenchCommon, CheckLineFormatsPercentages) {
   EXPECT_NE(out.find("25.0%"), std::string::npos);
 }
 
+// Run control is key=value only: the args set the run length, and the
+// header's run line keeps the format the benches have always printed.
+TEST(BenchCommon, KvArgsSetRunLength) {
+  exp::ExperimentConfig c = exp::baseline_config();
+  char prog[] = "bench", length[] = "sim_time=2000", reps[] = "replications=1";
+  char* argv[] = {prog, length, reps};
+  bench::apply_kv_args(3, argv, c);
+  EXPECT_DOUBLE_EQ(c.sim_time, 2000.0);
+  EXPECT_EQ(c.replications, 1);
+  EXPECT_EQ(bench::describe_run(c),
+            "sim_time=2000 x 1 replications, warmup=5%, seed=20250707");
+  EXPECT_EQ(bench::describe_run(exp::baseline_config()),
+            "sim_time=200000 x 2 replications, warmup=5%, seed=20250707");
+}
+
+TEST(BenchCommon, KvArgsRejectTyposAndInvalidConfigs) {
+  char prog[] = "bench", typo[] = "sim_tme=5", bare[] = "sim_time",
+       unstable[] = "load=1.5";
+  for (char* arg : {typo, bare, unstable}) {
+    exp::ExperimentConfig c = exp::baseline_config();
+    char* argv[] = {prog, arg};
+    try {
+      bench::apply_kv_args(2, argv, c);
+      ADD_FAILURE() << "accepted " << arg;
+    } catch (const std::invalid_argument& e) {
+      const std::string err = e.what();
+      if (arg == typo) {
+        EXPECT_NE(err.find("did you mean 'sim_time'"), std::string::npos)
+            << err;
+      }
+    }
+  }
+}
+
 }  // namespace

@@ -51,12 +51,12 @@ TEST(Scorecard, RenderShowsVerdicts) {
 // battery's tolerances (they assume >= ~50k, so allow a small number of
 // marginal numeric misses — but never more than 3 of ~25 checks).
 TEST(ReproductionBattery, ShortRunMostlyPasses) {
-  sda::util::BenchEnv env;
-  env.sim_time = 30000.0;
-  env.replications = 1;
-  env.warmup_fraction = 0.05;
-  env.seed = 20250707;
-  const Scorecard card = run_reproduction_battery(env);
+  sda::exp::ExperimentConfig config = sda::exp::baseline_config();
+  config.sim_time = 30000.0;
+  config.replications = 1;
+  config.warmup_fraction = 0.05;
+  config.seed = 20250707;
+  const Scorecard card = run_reproduction_battery(config);
   EXPECT_GE(card.checks().size(), 20u);
   EXPECT_LE(card.failures(), 3u) << card.render();
 }

@@ -8,8 +8,6 @@
 
 namespace {
 
-using sda::util::bench_env;
-using sda::util::env_double;
 using sda::util::env_flag;
 using sda::util::env_int;
 using sda::util::unknown_sda_env;
@@ -19,7 +17,7 @@ class EnvTest : public ::testing::Test {
   void TearDown() override {
     for (const char* name : {"SDA_TEST_X", "SDA_SIM_TIME", "SDA_REPS",
                              "SDA_WARMUP", "SDA_SEED", "SDA_FULL",
-                             "SDA_SIMTIME", "SDA_BOGUS_KNOB"}) {
+                             "SDA_THREDS", "SDA_BOGUS_KNOB"}) {
       unsetenv(name);
     }
   }
@@ -27,16 +25,6 @@ class EnvTest : public ::testing::Test {
 
 bool contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
-}
-
-TEST_F(EnvTest, DoubleFallback) {
-  EXPECT_DOUBLE_EQ(env_double("SDA_TEST_X", 1.5), 1.5);
-  setenv("SDA_TEST_X", "2.25", 1);
-  EXPECT_DOUBLE_EQ(env_double("SDA_TEST_X", 1.5), 2.25);
-  setenv("SDA_TEST_X", "not-a-number", 1);
-  EXPECT_DOUBLE_EQ(env_double("SDA_TEST_X", 1.5), 1.5);
-  setenv("SDA_TEST_X", "", 1);
-  EXPECT_DOUBLE_EQ(env_double("SDA_TEST_X", 1.5), 1.5);
 }
 
 TEST_F(EnvTest, IntFallback) {
@@ -57,71 +45,46 @@ TEST_F(EnvTest, Flags) {
   EXPECT_FALSE(env_flag("SDA_TEST_X"));
 }
 
-TEST_F(EnvTest, BenchEnvDefaults) {
-  const auto e = bench_env();
-  EXPECT_DOUBLE_EQ(e.sim_time, 200000.0);
-  EXPECT_EQ(e.replications, 2);
-  EXPECT_DOUBLE_EQ(e.warmup_fraction, 0.05);
-}
-
-TEST_F(EnvTest, BenchEnvOverrides) {
-  setenv("SDA_SIM_TIME", "5000", 1);
-  setenv("SDA_REPS", "3", 1);
-  setenv("SDA_SEED", "99", 1);
-  const auto e = bench_env();
-  EXPECT_DOUBLE_EQ(e.sim_time, 5000.0);
-  EXPECT_EQ(e.replications, 3);
-  EXPECT_EQ(e.seed, 99u);
-}
-
-TEST_F(EnvTest, FullFlagSetsPaperRunLength) {
-  setenv("SDA_FULL", "1", 1);
-  const auto e = bench_env();
-  EXPECT_DOUBLE_EQ(e.sim_time, 1e6);
-  EXPECT_EQ(e.replications, 2);
-}
-
-TEST_F(EnvTest, ExplicitSimTimeBeatsFull) {
-  setenv("SDA_FULL", "1", 1);
-  setenv("SDA_SIM_TIME", "123", 1);
-  EXPECT_DOUBLE_EQ(bench_env().sim_time, 123.0);
-}
-
-TEST_F(EnvTest, DescribeMentionsSettings) {
-  const auto e = bench_env();
-  const std::string d = e.describe();
-  EXPECT_NE(d.find("sim_time"), std::string::npos);
-  EXPECT_NE(d.find("seed"), std::string::npos);
-}
-
-// A likely typo (SDA_SIMTIME for SDA_SIM_TIME) must be flagged, while every
+// A likely typo (SDA_THREDS for SDA_THREADS) must be flagged, while every
 // recognized knob and the SDA_TEST_ scratch prefix must not be.  Other tests
 // or the surrounding shell may have their own SDA_* variables set, so the
 // assertions are containment checks, not exact-set checks.
 TEST_F(EnvTest, UnknownSdaEnvFlagsTyposOnly) {
-  setenv("SDA_SIMTIME", "5000", 1);
+  setenv("SDA_THREDS", "2", 1);
   setenv("SDA_BOGUS_KNOB", "x", 1);
-  setenv("SDA_SIM_TIME", "5000", 1);
   setenv("SDA_TEST_X", "scratch", 1);
   const auto unknown = unknown_sda_env();
-  EXPECT_TRUE(contains(unknown, "SDA_SIMTIME"));
+  EXPECT_TRUE(contains(unknown, "SDA_THREDS"));
   EXPECT_TRUE(contains(unknown, "SDA_BOGUS_KNOB"));
-  EXPECT_FALSE(contains(unknown, "SDA_SIM_TIME"));
   EXPECT_FALSE(contains(unknown, "SDA_TEST_X"));
 }
 
+// The process knobs stay known.  Set without overwriting, so a value the
+// surrounding shell chose survives (this binary runs no simulation).
 TEST_F(EnvTest, UnknownSdaEnvIgnoresRecognizedKnobs) {
+  setenv("SDA_THREADS", "1", 0);
+  setenv("SDA_VALIDATE", "0", 0);
+  const auto unknown = unknown_sda_env();
+  EXPECT_FALSE(contains(unknown, "SDA_THREADS"));
+  EXPECT_FALSE(contains(unknown, "SDA_VALIDATE"));
+  // Only SDA_* names are ever reported (PATH, HOME, ... are not ours).
+  for (const std::string& name : unknown) {
+    EXPECT_EQ(name.rfind("SDA_", 0), 0u) << name;
+  }
+}
+
+// Run length is key=value now: the retired run-length variables count as
+// unknown, so a leftover `SDA_FULL=1` warns instead of silently doing
+// nothing.
+TEST_F(EnvTest, RetiredRunLengthVariablesAreUnknown) {
   for (const char* name : {"SDA_SIM_TIME", "SDA_REPS", "SDA_WARMUP",
                            "SDA_SEED", "SDA_FULL"}) {
     setenv(name, "1", 1);
   }
-  for (const std::string& name : unknown_sda_env()) {
-    EXPECT_NE(name.rfind("SDA_", 0), std::string::npos);
-    EXPECT_NE(name, "SDA_SIM_TIME");
-    EXPECT_NE(name, "SDA_REPS");
-    EXPECT_NE(name, "SDA_WARMUP");
-    EXPECT_NE(name, "SDA_SEED");
-    EXPECT_NE(name, "SDA_FULL");
+  const auto unknown = unknown_sda_env();
+  for (const char* name : {"SDA_SIM_TIME", "SDA_REPS", "SDA_WARMUP",
+                           "SDA_SEED", "SDA_FULL"}) {
+    EXPECT_TRUE(contains(unknown, name)) << name;
   }
 }
 

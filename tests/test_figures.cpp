@@ -33,20 +33,6 @@ TEST(Figures, DefaultLoadsCoverIntermediateToHigh) {
   EXPECT_NE(std::find(loads.begin(), loads.end(), 0.5), loads.end());
 }
 
-TEST(Figures, ApplyBenchEnv) {
-  util::BenchEnv env;
-  env.sim_time = 777.0;
-  env.replications = 5;
-  env.warmup_fraction = 0.1;
-  env.seed = 31;
-  ExperimentConfig c = baseline_config();
-  figures::apply_bench_env(c, env);
-  EXPECT_DOUBLE_EQ(c.sim_time, 777.0);
-  EXPECT_EQ(c.replications, 5);
-  EXPECT_DOUBLE_EQ(c.warmup_fraction, 0.1);
-  EXPECT_EQ(c.seed, 31u);
-}
-
 TEST(Figures, SweepAppliesVariable) {
   ExperimentConfig base = baseline_config();
   base.sim_time = 2000.0;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace {
 
 using namespace sda::task;
@@ -84,6 +86,58 @@ TEST(Notation, ErrorCarriesPosition) {
     FAIL() << "expected NotationError";
   } catch (const NotationError& e) {
     EXPECT_EQ(e.position(), 0u);  // points at the unclosed '['
+  }
+}
+
+// The number grammar, pinned: one optional leading sign ('+' skipped, '-'
+// kept), digits, '.', and an exponent whose sign may only be '+' (a '-'
+// after the first character ends the number).  Anything else is
+// "malformed <field>" at the number's first character.
+TEST(Notation, NumberSpellings) {
+  struct Accepted {
+    const char* text;
+    double ex;
+  };
+  for (const Accepted& a : {Accepted{"A:+1.5", 1.5}, Accepted{"A:1e+2", 100.0},
+                            Accepted{"A:.5", 0.5}, Accepted{"A:+.5", 0.5},
+                            Accepted{"A:5.", 5.0}, Accepted{"A:00012", 12.0},
+                            Accepted{"A:1E2", 100.0}, Accepted{"A:-.5", -0.5},
+                            Accepted{"A:+0", 0.0}}) {
+    const TreePtr t = parse_notation(a.text);
+    EXPECT_EQ(t->exec_time, a.ex) << a.text;
+    EXPECT_EQ(t->pred_exec, a.ex) << a.text;
+  }
+  EXPECT_EQ(parse_notation("A:1/+1.5")->pred_exec, 1.5);
+
+  struct Rejected {
+    const char* text;
+    std::size_t offset;
+    const char* what;
+  };
+  for (const Rejected& r :
+       {Rejected{"A:1e", 2, "malformed execution time"},
+        Rejected{"A:1.2.3", 2, "malformed execution time"},
+        Rejected{"A:1e400", 2, "malformed execution time"},
+        Rejected{"A:1e-320", 2, "malformed execution time"},
+        Rejected{"A:1.5e-3", 2, "malformed execution time"},
+        Rejected{"A:+", 2, "malformed execution time"},
+        Rejected{"A:++1", 2, "malformed execution time"},
+        Rejected{"A:+-1", 2, "malformed execution time"},
+        Rejected{"A:-+1", 2, "malformed execution time"},
+        Rejected{"A:+1e400", 2, "malformed execution time"},
+        Rejected{"A:1e+", 2, "malformed execution time"},
+        Rejected{"A:.", 2, "malformed execution time"},
+        Rejected{"A:1-2", 3, "trailing input after task"},
+        Rejected{"A:1/1e400", 4, "malformed predicted execution time"},
+        Rejected{"A:1/++1", 4, "malformed predicted execution time"}}) {
+    try {
+      parse_notation(r.text);
+      ADD_FAILURE() << r.text << " parsed";
+    } catch (const NotationError& e) {
+      EXPECT_EQ(e.position(), r.offset) << r.text;
+      EXPECT_EQ(std::string(e.what()).rfind(r.what, 0), 0u)
+          << r.text << ": " << e.what();
+    }
   }
 }
 

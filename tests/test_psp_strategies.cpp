@@ -1,13 +1,19 @@
 // Unit and property tests for the PSP strategies (UD, DIV-x, GF).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "src/core/psp_div.hpp"
 #include "src/core/psp_gf.hpp"
 #include "src/core/psp_ud.hpp"
 #include "src/core/strategy.hpp"
+#include "src/exp/config.hpp"
+#include "src/exp/runner.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace {
 
@@ -106,6 +112,36 @@ TEST(PspFactory, RejectsUnknownNames) {
   EXPECT_THROW(make_psp_strategy("div-0"), std::invalid_argument);
   EXPECT_THROW(make_psp_strategy("first"), std::invalid_argument);
   EXPECT_THROW(make_psp_strategy(""), std::invalid_argument);
+}
+
+// A strategy parameter parses as strictly as a config value, and DIV-x and
+// GF need a finite positive one: "div-inf" put every branch deadline at
+// `now`, "gf-inf" every virtual deadline at -inf, and "div- 2" and
+// "div-0x1p1" both ran as DIV-2.  sda_run exits 64 on each.
+TEST(PspFactory, RejectsLooseParameterSpellings) {
+  for (const char* name : {"div-inf", "gf-inf", "div- 2", "div-0x1p1"}) {
+    EXPECT_THROW(make_psp_strategy(name), std::invalid_argument) << name;
+    sda::exp::ExperimentConfig c;
+    c.psp = name;
+    EXPECT_FALSE(c.validate().empty()) << name;
+  }
+}
+
+// Fractional parameters still parse to the same strategy: the fingerprints
+// of `sda_run psp=<name> sim_time=500 reps=1`.
+TEST(PspFactory, FractionalParametersKeepTheirFingerprints) {
+  for (const auto& [name, expected] :
+       {std::pair{"div-2.5", std::uint64_t{0x12c2c807572593a7}},
+        std::pair{"gf-0.001", std::uint64_t{0x6f5777eddae07527}}}) {
+    sda::exp::ExperimentConfig c;
+    c.psp = name;
+    c.sim_time = 500.0;
+    c.replications = 1;
+    std::vector<std::uint64_t> fps;
+    (void)sda::exp::run_experiment(c, sda::util::ThreadPool::shared(), &fps);
+    ASSERT_EQ(fps.size(), 1u);
+    EXPECT_EQ(fps[0], expected) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

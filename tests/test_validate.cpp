@@ -163,9 +163,54 @@ TEST(Validate, ExecSpreadIsForFlatTasksOnly) {
   EXPECT_TRUE(c.validate().empty());
 }
 
-TEST(Validate, LinkCountIgnoredForParallelKind) {
-  ExperimentConfig c = baseline_config();  // kParallel
-  c.link_count = -5;                       // only meaningful for kGraph
+// Each global kind refuses the other kind's keys once they leave their
+// defaults, instead of running as if they were not there.
+TEST(Validate, TaskSizeIsForFlatTasksOnly) {
+  ExperimentConfig c = baseline_config();
+  c.set("global_kind", "graph");
+  c.set("n_min", "2");
+  c.set("n_max", "6");
+  const std::vector<std::string> problems = c.validate();
+  ASSERT_EQ(problems.size(), 2u);
+  EXPECT_EQ(problems[0], "n_min applies to global_kind=parallel only");
+  EXPECT_EQ(problems[1], "n_max applies to global_kind=parallel only");
+  c.n_min = c.n_max = 4;  // the defaults every config carries
+  EXPECT_TRUE(c.validate().empty());
+
+  // graph_config derives a graph from a flat config's system and drops
+  // its task shape, as the reproduction battery's Figure 15 checks do.
+  ExperimentConfig flat = baseline_config();
+  flat.k = 8;
+  flat.n_min = 2;
+  flat.n_max = 6;
+  flat.subtask_exec_spread = 3.0;
+  const ExperimentConfig g = graph_config(flat);
+  EXPECT_TRUE(g.validate().empty());
+  EXPECT_EQ(g.k, 8);
+}
+
+TEST(Validate, StageWidthsAreForGraphsOnly) {
+  ExperimentConfig c = baseline_config();
+  c.set("stage_widths", "2,2");
+  const std::vector<std::string> problems = c.validate();
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0], "stage_widths applies to global_kind=graph only");
+  c.set("global_kind", "graph");
+  EXPECT_TRUE(c.validate().empty());
+}
+
+TEST(Validate, LinkCountIsForGraphsOnly) {
+  // The runner drops links on flat tasks, but sda_run --trace would still
+  // size its track count by them.
+  for (int links : {2, -5}) {
+    ExperimentConfig c = baseline_config();
+    c.link_count = links;
+    const std::vector<std::string> problems = c.validate();
+    ASSERT_EQ(problems.size(), 1u) << links;
+    EXPECT_NE(problems[0].find("link_count"), std::string::npos);
+  }
+  ExperimentConfig c = graph_config();
+  c.link_count = 2;
   EXPECT_TRUE(c.validate().empty());
 }
 
